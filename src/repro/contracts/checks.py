@@ -127,7 +127,7 @@ def check_nonnegative(
 def check_shape(
     a: ArrayLike, expected: tuple[int, ...], name: str = "array"
 ) -> None:
-    """Exact shape match (e.g. a warm-start seed against the QBD blocks)."""
+    """Exact shape match (e.g. a boundary vector against its QBD block)."""
     if not contracts_enabled():
         return
     shape = np.asarray(a).shape
@@ -274,9 +274,8 @@ def certify_spectral_radius_below_one(
     """Tiered ``sp(r) < 1`` certificate; True iff the radius is below one.
 
     A boolean query, not a gated check: it runs regardless of
-    ``REPRO_CONTRACTS`` (callers use it to *decide*, e.g. whether a
-    warm-started R iterate is the minimal solution, not merely to
-    validate).  Tiers, cheapest first:
+    ``REPRO_CONTRACTS`` (callers use it to *decide*, e.g. whether an
+    R iterate is the minimal solution, not merely to validate).  Tiers, cheapest first:
 
     1. ``||R||_inf < 1`` -- any induced norm bounds the spectral radius;
     2. the cached Collatz-Wielandt vector of a nearby solve (one matvec);

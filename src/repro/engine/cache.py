@@ -6,7 +6,7 @@ parameters, so two structurally identical models -- however they were
 constructed -- share one cache entry.  The cache is two-level: a plain
 in-memory dictionary, plus an optional on-disk directory of pickled
 solutions (one file per key) that persists across processes and runs and
-is shared by the worker processes of a parallel sweep.
+is shared by the workers of a job queue.
 
 The on-disk layer uses :mod:`pickle`; only point it at directories you
 trust, exactly as you would with numpy's ``allow_pickle``.
@@ -26,7 +26,14 @@ from repro.core.model import FgBgModel
 from repro.core.result import FgBgSolution
 from repro.faults import fire as _fault_fire
 
-__all__ = ["SolveCache", "solve_key"]
+__all__ = ["CACHE_FORMAT", "SolveCache", "solve_key"]
+
+#: Version of the pickled solution layout, hashed into every key.  Bump it
+#: whenever :class:`~repro.core.result.FgBgSolution` or anything it pickles
+#: (e.g. :class:`~repro.qbd.rmatrix.SolveStats`) changes shape: entries of
+#: older layouts then become unreachable misses that are re-solved, so no
+#: unpickling shim is ever needed.
+CACHE_FORMAT = 2
 
 #: Suffix quarantined files get: corrupt entries become
 #: ``<key>.pkl.corrupt``, orphaned temp files ``<name>.orphan``.  Neither
@@ -52,12 +59,13 @@ def _pid_alive(pid: int) -> bool:
 def solve_key(
     fingerprint: str, algorithm: str, tol: float
 ) -> str:
-    """Cache key of one solve: model fingerprint + solver parameters."""
+    """Cache key of one solve: format, model fingerprint, solver parameters."""
     if not fingerprint:
         raise ValueError("solve_key needs a non-empty model fingerprint")
     if not tol > 0.0:
         raise ValueError(f"solver tolerance must be positive, got {tol!r}")
     h = hashlib.sha256()
+    h.update(f"format-{CACHE_FORMAT}:".encode())
     h.update(fingerprint.encode())
     h.update(algorithm.encode())
     h.update(float(tol).hex().encode())

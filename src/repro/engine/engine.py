@@ -1,43 +1,34 @@
-"""The sweep engine: cached, warm-started, optionally parallel solves.
+"""The sweep engine: cached, optionally batched solves.
 
 A parameter sweep solves many nearby :class:`~repro.core.model.FgBgModel`
-instances.  :class:`SweepEngine` exploits that structure three ways:
+instances.  :class:`SweepEngine` exploits that structure two ways:
 
 * **caching** -- solutions are stored under a content hash of the model
   (see :meth:`FgBgModel.fingerprint`), so repeated points (across figures,
   or across runs with an on-disk cache) are never solved twice;
-* **warm-starting** -- within a chain of models that differ by one
-  parameter step, the R matrix of the previous point seeds the next solve
-  (Newton's method converts the closeness into a handful of iterations);
-* **parallelism** -- independent chains run across worker processes;
 * **batching** -- with ``batched=True`` the cache-miss models of a whole
   sweep are grouped by QBD block shape and each group is solved in one
   stacked kernel call (:mod:`repro.qbd.batched`), replacing N Python-level
   solver loops with batched ``np.linalg`` primitives.
 
-Warm-started results agree with cold solves to solver tolerance; cached
-results are bit-identical to the solve that populated the entry; batched
-results agree with sequential results to solver tolerance (bitwise for
-the R matrices in practice).
+Cached results are bit-identical to the solve that populated the entry;
+batched results agree with sequential results to solver tolerance
+(bitwise for the R matrices in practice).
 
 Resilience (see :mod:`repro.engine.resilience`): ``on_error`` isolates
 per-point solve failures instead of sinking the sweep, ``escalate``
 enables the truncated dense-chain rung of the solver escalation ladder,
-corrupt cache entries are quarantined and re-solved, crashed or hung
-worker processes are retried with backoff, bounded-requeued, and finally
-replaced by an in-parent serial solve -- so a sweep either finishes with
-every healthy point intact or raises, never silently drops work.
+and corrupt cache entries are quarantined and re-solved -- so a sweep
+either finishes with every healthy point intact or raises, never
+silently drops work.  Multi-process execution lives one layer up: run
+several :mod:`repro.jobs` workers on one queue.
 """
 
 from __future__ import annotations
 
 import os
-import signal
-import time
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 
 import numpy as np
 
@@ -55,7 +46,6 @@ from repro.engine.resilience import (
     validate_on_error,
 )
 from repro.engine.stats import BatchGroupRecord, EngineStats, SolveRecord
-from repro.faults import fire as _fault_fire
 from repro.qbd.rmatrix import QBDConvergenceError
 
 __all__ = ["SweepEngine"]
@@ -71,48 +61,6 @@ _SOLVE_FAILURES = (
 )
 
 
-def _run_chain_worker(
-    config: dict, models: list[FgBgModel]
-) -> tuple[list[FgBgSolution | None], list[SolveRecord], list[FailedSolve]]:
-    """Solve one chain in a worker process (must be module-level to pickle).
-
-    Workers share the parent's on-disk cache directory (if any); in-memory
-    entries are merged back by the parent from the returned solutions, and
-    isolated failures ride back next to the records.
-    """
-    if _fault_fire("worker_kill"):
-        # Chaos probe: die the way an OOM-killed worker dies -- no Python
-        # teardown, the parent sees a BrokenProcessPool and must requeue.
-        os.kill(os.getpid(), signal.SIGKILL)
-    cache_dir = config["cache_dir"]
-    engine = SweepEngine(
-        jobs=1,
-        cache=SolveCache(cache_dir) if cache_dir is not None else None,
-        warm_start=config["warm_start"],
-        algorithm=config["algorithm"],
-        tol=config["tol"],
-        on_error=config["on_error"],
-        escalate=config["escalate"],
-    )
-    solutions = engine.run_chain(models)
-    return solutions, engine.stats.records, engine.stats.failures
-
-
-def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
-    """Force-kill a pool's workers so a hung chain cannot block shutdown.
-
-    Reaches into the executor's process table (stable across supported
-    CPython versions); guarded so a missing attribute degrades to the
-    plain non-blocking shutdown.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except Exception:  # pragma: no cover - already-dead worker
-            pass
-
-
 class SweepEngine:
     """Executes model solves for parameter sweeps.
 
@@ -122,20 +70,12 @@ class SweepEngine:
         An :class:`~repro.engine.config.EngineConfig` supplying every
         keyword below in one validated, serializable object.  Explicit
         keyword arguments override the matching config field, so
-        ``SweepEngine(config=cfg, jobs=4)`` is ``cfg`` with four workers.
-        The resolved configuration is exposed as :attr:`config`.
-    jobs:
-        Worker processes for :meth:`run_chains`.  ``1`` (default) stays
-        serial; chains are the unit of parallelism because warm-starting
-        is sequential within a chain.
+        ``SweepEngine(config=cfg, batched=True)`` is ``cfg`` solved
+        through the stacked kernel.  The resolved configuration is
+        exposed as :attr:`config`.
     cache:
         ``None`` (default) for no caching, a :class:`SolveCache`, or a
         directory path for an on-disk cache shared across runs/processes.
-    warm_start:
-        Seed each solve in a chain with the previous point's R matrix.
-        Off by default: the default logarithmic-reduction solver is so
-        fast on the paper's chains that cold solves win on wall time;
-        warm Newton wins on iteration count (see ``benchmarks/bench_engine.py``).
     batched:
         Solve the cache-miss models of each :meth:`run_chain` /
         :meth:`run_chains` call through the stacked kernel
@@ -143,13 +83,8 @@ class SweepEngine:
         block shape and each group becomes one batched solve, recorded as
         a :class:`~repro.engine.stats.BatchGroupRecord`.  Batched results
         agree with sequential results to solver tolerance.  Requires the
-        default ``logarithmic-reduction`` algorithm; ``warm_start`` seeds
-        are not used on the batched path (stacked solves are cold by
-        construction -- and cold logred is the fast configuration here
-        anyway).  Caching composes: hits are served per model, only
-        misses enter a batch.  ``jobs`` is ignored while batching -- the
-        stacked BLAS calls replace process parallelism for the solve
-        stage.
+        default ``logarithmic-reduction`` algorithm.  Caching composes:
+        hits are served per model, only misses enter a batch.
     algorithm, tol:
         Passed through to :meth:`FgBgModel.solve`.
     on_error:
@@ -168,27 +103,15 @@ class SweepEngine:
         ladder (see :func:`repro.qbd.stationary.solve_qbd`); escalated
         solves are flagged ``degraded`` in their
         :class:`~repro.qbd.rmatrix.SolveStats`.
-    max_retries:
-        How many times a crashed or hung worker chain is re-submitted
-        (with backoff) before the parent solves it serially in-process.
-        ``0`` goes straight to the in-parent fallback.
-    retry_backoff_ms:
-        Backoff before the first re-submission; doubles per retry round.
-    chain_timeout_ms:
-        Optional wall-time limit per worker chain; a chain that exceeds
-        it is treated like a crashed worker (requeue, then in-parent).
-        ``None`` (default) trusts the solver's own iteration/time budget
-        (``REPRO_SOLVER_BUDGET_MS``) to bound every solve.
     progress:
         Optional callback ``progress(points)`` invoked with the number of
         points just served (fresh solve, cache hit, or isolated failure).
-        Per-point on the sequential path; per batch / per completed chain
-        on the batched and parallel paths (worker processes cannot call
-        back into the parent).  The background-job layer uses this to
-        report per-point job progress.
+        Per-point on the sequential path; per batch on the batched path.
+        The background-job layer uses this to report per-point job
+        progress.
     cancel:
         Optional callback ``cancel() -> bool`` polled between solves (and
-        before each batch / worker round); returning True raises
+        before each batch); returning True raises
         :class:`~repro.engine.resilience.SweepCancelled`.  Cooperative:
         a solve already in flight finishes first.
     """
@@ -197,33 +120,23 @@ class SweepEngine:
         self,
         config: EngineConfig | None = None,
         *,
-        jobs: int | None = None,
         cache: SolveCache | str | os.PathLike | None = None,
-        warm_start: bool | None = None,
         batched: bool | None = None,
         algorithm: str | None = None,
         tol: float | None = None,
         on_error: str | None = None,
         escalate: bool | None = None,
-        max_retries: int | None = None,
-        retry_backoff_ms: float | None = None,
-        chain_timeout_ms: float | None = None,
         progress: Callable[[int], None] | None = None,
         cancel: Callable[[], bool] | None = None,
     ) -> None:
         overrides = {
             name: value
             for name, value in (
-                ("jobs", jobs),
-                ("warm_start", warm_start),
                 ("batched", batched),
                 ("algorithm", algorithm),
                 ("tol", tol),
                 ("on_error", on_error),
                 ("escalate", escalate),
-                ("max_retries", max_retries),
-                ("retry_backoff_ms", retry_backoff_ms),
-                ("chain_timeout_ms", chain_timeout_ms),
             )
             if value is not None
         }
@@ -239,16 +152,11 @@ class SweepEngine:
         # replace() re-runs EngineConfig validation over the merged fields.
         self.config = base.replace(**overrides) if overrides else base
         self.cache = cache if cache is not None else self.config.build_cache()
-        self.jobs = self.config.jobs
-        self.warm_start = self.config.warm_start
         self.batched = self.config.batched
         self.algorithm = self.config.algorithm
         self.tol = self.config.tol
         self.on_error = validate_on_error(self.config.on_error)
         self.escalate = self.config.escalate
-        self.max_retries = self.config.max_retries
-        self.retry_backoff_ms = self.config.retry_backoff_ms
-        self.chain_timeout_ms = self.config.chain_timeout_ms
         self.progress = progress
         self.cancel = cancel
         self.stats = EngineStats()
@@ -272,9 +180,7 @@ class SweepEngine:
     def _record_failure(self, failure: FailedSolve) -> None:
         """Apply the ``on_error`` policy to one isolated failure.
 
-        Callers only reach this in ``"skip"``/``"collect"`` mode (or for
-        always-recoverable stages like cache quarantine and worker
-        crashes, which are isolated in every mode).
+        Callers only reach this in ``"skip"``/``"collect"`` mode.
         """
         if self.on_error == "collect" or failure.contract_violation:
             self.stats.add_failure(failure)
@@ -310,13 +216,9 @@ class SweepEngine:
                 )
             return None
 
-    def solve(
-        self, model: FgBgModel, initial_r: np.ndarray | None = None
-    ) -> FgBgSolution | None:
+    def solve(self, model: FgBgModel) -> FgBgSolution | None:
         """Solve one model, consulting the cache first.
 
-        ``initial_r`` warm-starts the R iteration of a fresh solve; it is
-        ignored on a cache hit (the cached solution is already exact).
         With ``on_error="skip"``/``"collect"`` a failed solve returns
         ``None`` instead of raising (see the class docstring); failed
         points get no :class:`~repro.engine.stats.SolveRecord` -- their
@@ -336,7 +238,6 @@ class SweepEngine:
             solution = model.solve(
                 algorithm=self.algorithm,
                 tol=self.tol,
-                initial_r=initial_r,
                 escalate=self.escalate,
             )
         except _SOLVE_FAILURES as exc:
@@ -449,199 +350,37 @@ class SweepEngine:
     def run_chain(
         self, models: Iterable[FgBgModel]
     ) -> list[FgBgSolution | None]:
-        """Solve a sequence of related models in order.
+        """Solve a sequence of models, returning solutions in input order.
 
-        With :attr:`warm_start` on, each solve is seeded with the previous
-        solution's R matrix -- order the chain so neighbours are close in
-        parameter space (a sweep axis already is).  With :attr:`batched`
-        on, the chain is handed to :meth:`solve_batch` instead (output is
-        identical to solver tolerance).  Failed points (isolated by
-        ``on_error``) are ``None`` slots and never seed a warm start.
+        With :attr:`batched` on, the models go to :meth:`solve_batch`;
+        otherwise each is handed to :meth:`solve` in turn.  Failed points
+        (isolated by ``on_error``) are ``None`` slots.
         """
         if self.batched:
             return self.solve_batch(models)
-        solutions: list[FgBgSolution | None] = []
-        prev_r: np.ndarray | None = None
-        for model in models:
-            solution = self.solve(model, initial_r=prev_r)
-            if self.warm_start:
-                prev_r = None if solution is None else solution.qbd_solution.r
-            solutions.append(solution)
-        return solutions
+        return [self.solve(model) for model in models]
 
     def run_chains(
         self, chains: Sequence[Sequence[FgBgModel]]
     ) -> list[list[FgBgSolution | None]]:
-        """Solve several independent chains, in parallel when ``jobs > 1``.
+        """Solve several chains as one :meth:`run_chain` call.
 
-        Results are returned in chain order regardless of completion
-        order, so parallel output is identical to serial output.
-
-        With :attr:`batched` on, all chains pool into one
-        :meth:`solve_batch` call (cross-chain duplicates are solved once)
-        and the stacked kernel supplies the parallelism -- no worker
-        processes are spawned.
-
-        A worker that crashes (``BrokenProcessPool``) or exceeds
-        :attr:`chain_timeout_ms` does not lose its chains: they are
-        re-submitted to a fresh pool up to :attr:`max_retries` times with
-        exponential backoff, then solved serially in the parent as a last
-        resort.  Each recovery is recorded as a ``"worker"``-stage
-        :class:`~repro.engine.resilience.FailedSolve` (the points
-        themselves still get correct values) and counted in
-        :attr:`stats` ``.worker_retries``.
+        The chains are flattened, solved, and split back in chain order,
+        so a batched run pools every chain into one :meth:`solve_batch`
+        (cross-chain duplicates are solved once).
         """
         chains = [list(chain) for chain in chains]
-        if self.batched:
-            flat = [model for chain in chains for model in chain]
-            solutions = self.solve_batch(flat)
-            results: list[list[FgBgSolution | None]] = []
-            cursor = 0
-            for chain in chains:
-                results.append(solutions[cursor : cursor + len(chain)])
-                cursor += len(chain)
-            return results
-        if self.jobs <= 1 or len(chains) <= 1:
-            return [self.run_chain(chain) for chain in chains]
-        # Chains fully present in the parent cache are served directly --
-        # worker processes cannot see the parent's in-memory layer.
-        pending = list(range(len(chains)))
-        results_by_index: dict[int, list[FgBgSolution | None]] = {}
-        if self.cache is not None:
-            for index in list(pending):
-                keys = [
-                    solve_key(m.fingerprint(), self.algorithm, self.tol)
-                    for m in chains[index]
-                ]
-                if all(key in self.cache for key in keys):
-                    results_by_index[index] = self.run_chain(chains[index])
-                    pending.remove(index)
-        if not pending:
-            return [results_by_index[i] for i in range(len(chains))]
-        if len(pending) == 1:
-            results_by_index[pending[0]] = self.run_chain(chains[pending[0]])
-            return [results_by_index[i] for i in range(len(chains))]
-        config = {
-            "cache_dir": None if self.cache is None else self.cache.directory,
-            "warm_start": self.warm_start,
-            "algorithm": self.algorithm,
-            "tol": self.tol,
-            "on_error": self.on_error,
-            "escalate": self.escalate,
-        }
-        attempts = dict.fromkeys(pending, 0)
-        last_error: dict[int, BaseException] = {}
-        queue = list(pending)
-        while queue:
-            self._check_cancelled()
-            retry: list[int] = []
-            retry.extend(self._run_worker_round(chains, config, queue,
-                                                results_by_index, last_error))
-            queue = []
-            exhausted: list[int] = []
-            for index in retry:
-                attempts[index] += 1
-                self.stats.worker_retries += 1
-                if attempts[index] <= self.max_retries:
-                    queue.append(index)
-                else:
-                    exhausted.append(index)
-            for index in exhausted:
-                # Bounded requeue exhausted: solve in the parent, where a
-                # deterministic worker fault cannot reach, and record how
-                # the chain was recovered.
-                error = last_error[index]
-                self.stats.add_failure(
-                    FailedSolve(
-                        fingerprint=chains[index][0].fingerprint(),
-                        stage="worker",
-                        error_type=type(error).__name__,
-                        message=(
-                            f"worker chain {index} failed "
-                            f"{attempts[index]} time(s): {error}"
-                        ),
-                        attempts=tuple(
-                            f"worker-attempt-{n + 1}"
-                            for n in range(attempts[index])
-                        )
-                        + ("in-parent-serial",),
-                    )
-                )
-                results_by_index[index] = self.run_chain(chains[index])
-            if queue:
-                backoff_ms = self.retry_backoff_ms * (
-                    2 ** (min(attempts[i] for i in queue) - 1)
-                )
-                if backoff_ms > 0:
-                    time.sleep(backoff_ms / 1000.0)
-        return [results_by_index[i] for i in range(len(chains))]
-
-    def _run_worker_round(
-        self,
-        chains: list[list[FgBgModel]],
-        config: dict,
-        queue: list[int],
-        results_by_index: dict[int, list[FgBgSolution | None]],
-        last_error: dict[int, BaseException],
-    ) -> list[int]:
-        """Submit one round of worker chains; return the indices to retry.
-
-        Chains whose future breaks (``BrokenProcessPool`` takes the whole
-        pool down, so one SIGKILLed worker can fail innocent siblings --
-        they are simply requeued) or times out are returned for retry;
-        completed chains are merged into stats, cache and results.  Solve
-        exceptions raised *inside* a worker (``on_error="raise"``)
-        propagate unchanged.
-        """
-        retry: list[int] = []
-        timeout_s = (
-            None if self.chain_timeout_ms is None
-            else self.chain_timeout_ms / 1000.0
-        )
-        workers = min(self.jobs, len(queue))
-        pool = ProcessPoolExecutor(max_workers=workers)
-        timed_out = False
-        try:
-            futures: list[tuple[int, Future]] = [
-                (index, pool.submit(_run_chain_worker, config, chains[index]))
-                for index in queue
-            ]
-            for index, future in futures:
-                try:
-                    solutions, records, failures = future.result(
-                        timeout=timeout_s  # noqa: RL003 -- stdlib Future.result takes seconds; converted from chain_timeout_ms above
-                    )
-                except (BrokenExecutor, FutureTimeoutError, OSError) as exc:
-                    timed_out = timed_out or isinstance(
-                        exc, FutureTimeoutError
-                    )
-                    last_error[index] = exc
-                    retry.append(index)
-                    continue
-                self.stats.extend(records)
-                self.stats.extend_failures(failures)
-                if self.cache is not None:
-                    for model, solution in zip(chains[index], solutions):
-                        if solution is None:
-                            continue
-                        key = solve_key(
-                            model.fingerprint(), self.algorithm, self.tol
-                        )
-                        if key not in self.cache:
-                            self.cache.put(key, solution)
-                results_by_index[index] = solutions
-                self._tick(len(solutions))
-        finally:
-            if timed_out:
-                # A hung worker would block the normal shutdown join.
-                _kill_pool_processes(pool)
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
-        return retry
+        solutions = self.run_chain(model for chain in chains for model in chain)
+        results: list[list[FgBgSolution | None]] = []
+        cursor = 0
+        for chain in chains:
+            results.append(solutions[cursor : cursor + len(chain)])
+            cursor += len(chain)
+        return results
 
     def __repr__(self) -> str:
         return (
-            f"SweepEngine(jobs={self.jobs}, cache={self.cache!r}, "
-            f"warm_start={self.warm_start}, batched={self.batched}, "
+            f"SweepEngine(cache={self.cache!r}, batched={self.batched}, "
             f"algorithm={self.algorithm!r}, tol={self.tol:g}, "
             f"on_error={self.on_error!r}, escalate={self.escalate})"
         )

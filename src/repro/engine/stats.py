@@ -1,8 +1,8 @@
 """Aggregation of per-solve statistics across a sweep.
 
 Every solve the engine performs -- fresh or served from cache -- appends a
-:class:`SolveRecord`; :class:`EngineStats` aggregates them into the record
-the benchmark harness writes to ``BENCH_sweeps.json``.
+:class:`SolveRecord`; :class:`EngineStats` aggregates them into the
+summary that job results and ``write_json`` report.
 """
 
 from __future__ import annotations
@@ -78,8 +78,6 @@ class EngineStats:
     #: :mod:`repro.engine.resilience`); failed points have no
     #: :class:`SolveRecord` -- the :class:`FailedSolve` *is* their record.
     failures: list[FailedSolve] = field(default_factory=list)
-    #: Crashed/hung worker chains that were re-queued (bounded requeue).
-    worker_retries: int = 0
 
     def add(self, record: SolveRecord) -> None:
         self.records.append(record)
@@ -92,9 +90,6 @@ class EngineStats:
 
     def add_failure(self, failure: FailedSolve) -> None:
         self.failures.append(failure)
-
-    def extend_failures(self, failures: list[FailedSolve]) -> None:
-        self.failures.extend(failures)
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -112,15 +107,6 @@ class EngineStats:
     def solver_calls(self) -> int:
         """Fresh R-matrix solves actually performed."""
         return sum(1 for r in self.records if not r.cache_hit)
-
-    @property
-    def warm_started(self) -> int:
-        """Fresh solves whose accepted R came from a warm start."""
-        return sum(
-            1
-            for r in self.records
-            if not r.cache_hit and r.stats is not None and r.stats.warm_started
-        )
 
     @property
     def total_iterations(self) -> int:
@@ -167,15 +153,9 @@ class EngineStats:
 
     @property
     def degraded_solves(self) -> int:
-        """Solves served by the truncated dense-chain escalation rung.
-
-        ``getattr`` default: cache entries pickled before the escalation
-        ladder carry :class:`SolveStats` without the ``degraded`` field.
-        """
+        """Solves served by the truncated dense-chain escalation rung."""
         return sum(
-            1
-            for r in self.records
-            if r.stats is not None and getattr(r.stats, "degraded", False)
+            1 for r in self.records if r.stats is not None and r.stats.degraded
         )
 
     @property
@@ -196,17 +176,15 @@ class EngineStats:
             "solves": self.solves,
             "cache_hits": self.cache_hits,
             "solver_calls": self.solver_calls,
-            "warm_started": self.warm_started,
             "total_iterations": self.total_iterations,
             "total_wall_time_ms": round(self.total_wall_time_ms, 3),
             "max_spectral_radius": self.max_spectral_radius,
             "algorithms": self.algorithm_counts(),
             # Recovered work is part of the solve accounting: a progress
             # line built from this summary must not under-report a sweep
-            # that quarantined corrupt cache entries or requeued crashed
-            # workers, so both counters are always present (zero included).
+            # that quarantined corrupt cache entries, so the counter is
+            # always present (zero included).
             "cache_quarantined": self.cache_quarantined,
-            "worker_retries": self.worker_retries,
         }
         if self.batch_groups:
             payload["batch_groups"] = [g.as_dict() for g in self.batch_groups]
@@ -231,12 +209,10 @@ class EngineStats:
         self.records.clear()
         self.batch_groups.clear()
         self.failures.clear()
-        self.worker_retries = 0
 
     def __repr__(self) -> str:
         return (
             f"EngineStats(solves={self.solves}, cache_hits={self.cache_hits}, "
-            f"warm_started={self.warm_started}, "
             f"total_iterations={self.total_iterations}, "
             f"failed={self.failed})"
         )

@@ -30,7 +30,6 @@ from repro.qbd.rmatrix import (
     r_matrix_from_g,
     r_matrix_logarithmic_reduction,
     r_matrix_natural_iteration,
-    r_matrix_newton,
 )
 from repro.qbd.batched import (
     BatchedSolveReport,
@@ -51,7 +50,6 @@ __all__ = [
     "r_matrix_functional_iteration",
     "r_matrix_logarithmic_reduction",
     "r_matrix_natural_iteration",
-    "r_matrix_newton",
     "r_matrix_from_g",
     "g_matrix_logarithmic_reduction",
     "batched_r_matrix",

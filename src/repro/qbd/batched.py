@@ -498,7 +498,6 @@ def batched_r_matrix(
             iterations=int(iterations[i]),
             wall_time_ms=per_item_ms,
             spectral_radius=float(radii[i]),
-            warm_started=False,
         )
         for i in range(n)
     ]

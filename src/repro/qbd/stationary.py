@@ -47,15 +47,6 @@ class QBDStationaryDistribution:
         # pi_{k+1} = pi_k R; grows on demand (level/tail_mass/residual).
         self._levels: list[np.ndarray] = [self._pi_first]
 
-    def __setstate__(self, state: dict) -> None:
-        # Solutions pickled before the LU refactor carry neither the level
-        # memo nor the LU slot; re-derive what is missing and drop the
-        # stale dense-inverse cache so old on-disk cache entries keep
-        # working.
-        self.__dict__.update(state)
-        self.__dict__.pop("_inv_i_minus_r", None)
-        self.__dict__.setdefault("_levels", [self._pi_first])
-
     @property
     def qbd(self) -> QBDProcess:
         """The process this distribution solves."""
@@ -168,15 +159,14 @@ def solve_qbd(
     qbd: QBDProcess,
     algorithm: str = "logarithmic-reduction",
     tol: float = 1e-12,
-    initial_r: np.ndarray | None = None,
     escalate: bool = False,
     time_budget_ms: float | None = None,
 ) -> QBDStationaryDistribution:
     """Solve a QBD end to end: R matrix, boundary system, stationary object.
 
-    ``initial_r`` warm-starts the R iteration (see
-    :func:`repro.qbd.rmatrix.r_matrix`); the returned distribution carries
-    the per-solve :class:`~repro.qbd.rmatrix.SolveStats`.
+    The returned distribution carries the per-solve
+    :class:`~repro.qbd.rmatrix.SolveStats` of
+    :func:`repro.qbd.rmatrix.r_matrix`.
 
     With ``escalate=True`` the solve gains a last rung: when every
     matrix-geometric iteration fails (``QBDConvergenceError``) or the
@@ -194,7 +184,7 @@ def solve_qbd(
     try:
         r, stats = r_matrix(
             qbd.a0, qbd.a1, qbd.a2, algorithm=algorithm, tol=tol,
-            initial_r=initial_r, return_stats=True, blocks_validated=True,
+            return_stats=True, blocks_validated=True,
             time_budget_ms=time_budget_ms,
         )
         pi_boundary, pi_first = solve_boundary(qbd, r)

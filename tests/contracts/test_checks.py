@@ -185,8 +185,8 @@ class TestSpectralRadiusCertificate:
             assert certified == truth
 
     def test_runs_with_contracts_disabled(self, monkeypatch):
-        # A boolean query, not a gated check: callers (the warm-start
-        # minimality test) rely on it regardless of the switch.
+        # A boolean query, not a gated check: it answers regardless of
+        # the switch.
         monkeypatch.setenv(ENV_SWITCH, "off")
         assert certify_spectral_radius_below_one(np.array([[0.5]]))
         assert not certify_spectral_radius_below_one(np.array([[2.0]]))

@@ -130,30 +130,6 @@ class TestCorruptedCachePickle:
         assert self.fresh(tmp_path).get(key) == "not a solution at all"
 
 
-class TestWrongShapeWarmStart:
-    def test_seed_shape_mismatch_names_seed(self):
-        a0, a1, a2 = mm1_blocks()
-        with pytest.raises(ContractViolation) as excinfo:
-            r_matrix(a0, a1, a2, initial_r=np.zeros((3, 3)))
-        assert excinfo.value.check == "check_shape"
-        assert excinfo.value.subject == "initial_r"
-        assert "(1, 1)" in excinfo.value.detail
-        assert "(3, 3)" in excinfo.value.detail
-
-    def test_shape_check_survives_off_switch(self, monkeypatch):
-        # Deliberately unconditional: with contracts off, a bad seed would
-        # otherwise crash deep inside the iteration with a broadcast error.
-        monkeypatch.setenv("REPRO_CONTRACTS", "off")
-        a0, a1, a2 = mm1_blocks()
-        with pytest.raises(ContractViolation, match="initial_r"):
-            r_matrix(a0, a1, a2, initial_r=np.zeros((3, 3)))
-
-    def test_nan_seed_rejected(self):
-        a0, a1, a2 = mm1_blocks()
-        with pytest.raises(ContractViolation, match="non-finite"):
-            r_matrix(a0, a1, a2, initial_r=np.array([[np.nan]]))
-
-
 class TestModelLevelContracts:
     def test_model_solve_passes_contracts(self):
         solution = model().solve()

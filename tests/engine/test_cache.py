@@ -1,9 +1,12 @@
 """Tests for the content-addressed solve cache."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.core import FgBgModel
-from repro.engine import SolveCache, solve_key
+from repro.engine import SolveCache, SweepEngine, solve_key
 from repro.processes import PoissonProcess
 
 MU = 1 / 6.0
@@ -41,6 +44,26 @@ class TestSolveKey:
         a = model(idle_wait_rate=None)
         b = model(idle_wait_rate=MU)
         assert SolveCache.key(a) == SolveCache.key(b)
+
+    def test_unversioned_entry_is_a_miss_and_resolved(self, tmp_path):
+        # Keys written before the format version was hashed in: a plain
+        # sha256 of fingerprint, algorithm and tolerance.  Plant another
+        # model's solution there -- loading it would serve wrong metrics.
+        m = model(p=0.3)
+        h = hashlib.sha256()
+        h.update(m.fingerprint().encode())
+        h.update(b"logarithmic-reduction")
+        h.update((1e-12).hex().encode())
+        legacy = tmp_path / f"{h.hexdigest()}.pkl"
+        legacy.write_bytes(pickle.dumps(model(p=0.6).solve()))
+
+        engine = SweepEngine(cache=tmp_path)
+        solution = engine.solve(m)
+        assert solution.as_dict() == pytest.approx(m.solve().as_dict(), nan_ok=True)
+        assert engine.stats.cache_hits == 0
+        assert engine.stats.solver_calls == 1
+        assert engine.stats.failures == []
+        assert legacy.exists()
 
 
 class TestMemoryCache:

@@ -29,17 +29,14 @@ class TestValidation:
     def test_defaults_are_valid_and_default(self):
         config = EngineConfig()
         assert config.is_default
-        assert not EngineConfig(jobs=2).is_default
+        assert not EngineConfig(batched=True).is_default
 
     @pytest.mark.parametrize(
         ("field", "value", "match"),
         [
-            ("jobs", 0, "jobs must be >= 1"),
             ("tol", 0.0, "tol must be positive"),
             ("on_error", "explode", "on_error must be one of"),
-            ("max_retries", -1, "max_retries must be >= 0"),
-            ("retry_backoff_ms", -1.0, "retry_backoff_ms must be >= 0"),
-            ("chain_timeout_ms", 0.0, "chain_timeout_ms must be positive"),
+            ("algorithm", "bogus", "unknown algorithm 'bogus'"),
         ],
     )
     def test_field_validation(self, field, value, match):
@@ -51,12 +48,12 @@ class TestValidation:
             EngineConfig(batched=True, algorithm="functional")
 
     def test_replace_revalidates(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            EngineConfig().replace(jobs=0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            EngineConfig().replace(tol=0.0)
 
     def test_round_trip(self):
         config = EngineConfig(
-            jobs=2, cache_dir="/tmp/c", warm_start=True, on_error="collect"
+            cache_dir="/tmp/c", batched=True, on_error="collect", escalate=True
         )
         assert EngineConfig.from_dict(config.as_dict()) == config
 
@@ -83,13 +80,12 @@ class TestEquivalence:
     """config= and legacy kwargs are two spellings of the same engine."""
 
     def test_engine_attributes_match(self):
-        config = EngineConfig(jobs=2, warm_start=True, on_error="collect")
+        config = EngineConfig(batched=True, on_error="collect")
         via_config = SweepEngine(config=config)
-        via_kwargs = SweepEngine(jobs=2, warm_start=True, on_error="collect")
+        via_kwargs = SweepEngine(batched=True, on_error="collect")
         assert via_config.config == via_kwargs.config
-        assert (via_config.jobs, via_config.warm_start, via_config.on_error) == (
-            via_kwargs.jobs,
-            via_kwargs.warm_start,
+        assert (via_config.batched, via_config.on_error) == (
+            via_kwargs.batched,
             via_kwargs.on_error,
         )
 
@@ -110,10 +106,12 @@ class TestEquivalence:
         )
 
     def test_kwargs_override_config_fields(self):
-        engine = SweepEngine(config=EngineConfig(jobs=4, on_error="skip"), jobs=1)
-        assert engine.jobs == 1
+        engine = SweepEngine(
+            config=EngineConfig(batched=True, on_error="skip"), batched=False
+        )
+        assert not engine.batched
         assert engine.on_error == "skip"
-        assert engine.config.jobs == 1
+        assert not engine.config.batched
 
     def test_explicit_cache_object_wins(self, tmp_path):
         cache = SolveCache(str(tmp_path / "c"))
@@ -122,8 +120,8 @@ class TestEquivalence:
         assert engine.config.cache_dir == str(tmp_path / "c")
 
     def test_invalid_override_rejected(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            SweepEngine(config=EngineConfig(), jobs=0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            SweepEngine(config=EngineConfig(), tol=0.0)
 
 
 class TestHooks:
@@ -142,9 +140,9 @@ class TestHooks:
         assert sum(ticks) == 3
         assert engine.stats.cache_hits == 3
 
-    def test_progress_ticks_under_parallel_jobs(self):
+    def test_progress_ticks_across_chains(self):
         ticks = []
-        engine = SweepEngine(jobs=2, progress=ticks.append)
+        engine = SweepEngine(progress=ticks.append)
         chains = [models(2, p=0.1), models(2, p=0.6)]
         engine.run_chains(chains)
         assert sum(ticks) == 4
@@ -191,4 +189,3 @@ class TestStatsSummaryKeys:
         engine.run_chain(models(1))
         summary = engine.stats.summary()
         assert summary["cache_quarantined"] == 0
-        assert summary["worker_retries"] == 0

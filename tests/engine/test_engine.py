@@ -1,4 +1,4 @@
-"""Tests for the sweep engine: caching, warm starts, parallel chains."""
+"""Tests for the sweep engine: solves, caching and chains."""
 
 import numpy as np
 import pytest
@@ -54,9 +54,10 @@ class TestSolve:
         engine.solve(mmpp_base())
         assert len(list((tmp_path / "solves").iterdir())) == 1
 
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError, match="jobs"):
-            SweepEngine(jobs=0)
+    def test_removed_executor_kwargs_rejected(self):
+        for kwarg in ("jobs", "max_retries"):
+            with pytest.raises(TypeError, match=kwarg):
+                SweepEngine(**{kwarg: 1})
 
 
 class TestRunChain:
@@ -65,25 +66,6 @@ class TestRunChain:
         solutions = engine.run_chain(chain())
         for model, solution in zip(chain(), solutions):
             assert solution.fg_queue_length == model.solve().fg_queue_length
-
-    def test_warm_chain_matches_cold_within_tolerance(self):
-        cold = [m.solve() for m in chain()]
-        warm = SweepEngine(warm_start=True).run_chain(chain())
-        for c, w in zip(cold, warm):
-            assert w.fg_queue_length == pytest.approx(
-                c.fg_queue_length, abs=1e-8
-            )
-            assert w.bg_completion_rate == pytest.approx(
-                c.bg_completion_rate, abs=1e-8
-            )
-
-    def test_warm_start_reduces_iterations(self):
-        cold = SweepEngine(algorithm="functional")
-        cold.run_chain(chain())
-        warm = SweepEngine(algorithm="functional", warm_start=True)
-        warm.run_chain(chain())
-        assert warm.stats.total_iterations < cold.stats.total_iterations
-        assert warm.stats.warm_started == len(UTILIZATIONS) - 1
 
     def test_cached_rerun_solves_nothing(self):
         engine = SweepEngine(cache=SolveCache())
@@ -106,32 +88,35 @@ class TestRunChains:
                     solution.fg_queue_length == model.solve().fg_queue_length
                 )
 
-    def test_parallel_identical_to_serial(self):
-        serial = SweepEngine(jobs=1).run_chains(self.chains())
-        parallel = SweepEngine(jobs=2).run_chains(self.chains())
-        for s_chain, p_chain in zip(serial, parallel):
-            for s, p in zip(s_chain, p_chain):
-                assert p.fg_queue_length == s.fg_queue_length
-                assert p.bg_queue_length == s.bg_queue_length
-                assert p.bg_completion_rate == s.bg_completion_rate
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_chains_identical_to_one_flat_chain(self, batched):
+        split = SweepEngine(batched=batched).run_chains(self.chains())
+        flat = SweepEngine(batched=batched).run_chain(
+            [model for models in self.chains() for model in models]
+        )
+        assert [len(c) for c in split] == [len(UTILIZATIONS)] * 3
+        for s, f in zip([s for c in split for s in c], flat):
+            assert s.fg_queue_length == f.fg_queue_length
+            assert s.bg_queue_length == f.bg_queue_length
+            assert s.bg_completion_rate == f.bg_completion_rate
 
-    def test_parallel_merges_stats(self):
-        engine = SweepEngine(jobs=2)
+    def test_chains_merge_stats(self):
+        engine = SweepEngine()
         engine.run_chains(self.chains())
         assert engine.stats.solves == 3 * len(UTILIZATIONS)
         assert engine.stats.total_iterations > 0
 
-    def test_parallel_populates_parent_cache(self):
-        engine = SweepEngine(jobs=2, cache=SolveCache())
+    def test_chains_populate_cache(self):
+        engine = SweepEngine(cache=SolveCache())
         engine.run_chains(self.chains())
         rerun = engine.run_chains(self.chains())
         assert engine.stats.cache_hits >= 3 * len(UTILIZATIONS)
         assert len(rerun) == 3
 
-    def test_parallel_shares_disk_cache(self, tmp_path):
-        first = SweepEngine(jobs=2, cache=tmp_path)
+    def test_chains_share_disk_cache(self, tmp_path):
+        first = SweepEngine(cache=tmp_path)
         first.run_chains(self.chains())
-        second = SweepEngine(jobs=2, cache=tmp_path)
+        second = SweepEngine(cache=tmp_path)
         second.run_chains(self.chains())
         assert second.stats.solver_calls == 0
         assert second.stats.cache_hits == 3 * len(UTILIZATIONS)
@@ -142,8 +127,8 @@ class TestRunChains:
             arrival=PoissonProcess(0.3 * MU), service_rate=MU, bg_probability=0.3
         )
         models = [base.at_utilization(u) for u in UTILIZATIONS]
-        warm = SweepEngine(warm_start=True).run_chain(models)
-        for model, solution in zip(models, warm):
+        solved = SweepEngine().run_chain(models)
+        for model, solution in zip(models, solved):
             assert solution.fg_queue_length == pytest.approx(
                 model.solve().fg_queue_length, abs=1e-8
             )

@@ -7,13 +7,13 @@ from repro.engine import EngineStats, SolveRecord
 from repro.qbd import SolveStats
 
 
-def stats(algorithm="newton", iterations=5, wall=1.5, sp=0.9, warm=True):
+def stats(algorithm="functional", iterations=5, wall=1.5, sp=0.9, degraded=False):
     return SolveStats(
         algorithm=algorithm,
         iterations=iterations,
         wall_time_ms=wall,
         spectral_radius=sp,
-        warm_started=warm,
+        degraded=degraded,
     )
 
 
@@ -23,7 +23,7 @@ class TestSolveRecord:
         payload = record.as_dict()
         assert payload["fingerprint"] == "abc"
         assert payload["cache_hit"] is False
-        assert payload["stats"]["algorithm"] == "newton"
+        assert payload["stats"]["algorithm"] == "functional"
 
     def test_as_dict_without_stats(self):
         assert SolveRecord("abc", True, None).as_dict()["stats"] is None
@@ -33,7 +33,7 @@ class TestEngineStats:
     def filled(self):
         es = EngineStats()
         es.add(SolveRecord("a", False, stats("logarithmic-reduction", 7, 2.0, 0.9, False)))
-        es.add(SolveRecord("b", False, stats("newton", 5, 30.0, 0.95, True)))
+        es.add(SolveRecord("b", False, stats("functional", 5, 30.0, 0.95, True)))
         es.add(SolveRecord("a", True, stats("logarithmic-reduction", 7, 2.0, 0.9, False)))
         return es
 
@@ -42,7 +42,7 @@ class TestEngineStats:
         assert es.solves == 3
         assert es.cache_hits == 1
         assert es.solver_calls == 2
-        assert es.warm_started == 1
+        assert es.degraded_solves == 1
 
     def test_totals_exclude_cache_hits(self):
         es = self.filled()
@@ -56,7 +56,7 @@ class TestEngineStats:
     def test_algorithm_counts(self):
         assert self.filled().algorithm_counts() == {
             "logarithmic-reduction": 1,
-            "newton": 1,
+            "functional": 1,
         }
 
     def test_summary_is_json_serializable(self):

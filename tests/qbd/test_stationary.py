@@ -6,7 +6,6 @@ import pytest
 from repro.markov import stationary_distribution
 from repro.processes import fit_mmpp2
 from repro.qbd import QBDProcess, solve_boundary, solve_qbd
-from repro.qbd.rmatrix import r_matrix
 
 
 def mm1_qbd(lam: float = 1.0, mu: float = 2.0) -> QBDProcess:
@@ -130,25 +129,6 @@ class TestLevelSumFactorization:
     def test_levels_are_memoized(self):
         sol = solve_qbd(mmpp_m1_qbd())
         assert sol.level(4) is sol.level(4)
-
-    def test_old_pickle_state_restores(self):
-        # Cache entries pickled before the refactor restore __dict__
-        # directly: no _levels memo, plus a stale dense-inverse slot.
-        sol = solve_qbd(mmpp_m1_qbd(util=0.6))
-        expected = sol.repeating_mass.copy()
-        state = {
-            "_qbd": sol.qbd,
-            "_r": sol.r,
-            "_pi_boundary": sol.boundary,
-            "_pi_first": sol.level(1),
-            "_solve_stats": sol.solve_stats,
-            "_inv_i_minus_r": np.eye(sol.r.shape[0]),  # stale, must drop
-        }
-        restored = object.__new__(type(sol))
-        restored.__setstate__(state)
-        assert "_inv_i_minus_r" not in restored.__dict__
-        np.testing.assert_allclose(restored.repeating_mass, expected, atol=1e-12)
-        assert restored.residual(levels=6) < 1e-9
 
 
 class TestRepr:

@@ -80,7 +80,7 @@ RULE_DOCS: dict[str, RuleDoc] = {
     "RL006": RuleDoc(
         rationale=(
             "Construction certificates (_generator_validated, "
-            "blocks_validated=True, warm-start seeds) let the contract "
+            "blocks_validated=True) let the contract "
             "layer skip re-validation -- which is only sound when the "
             "certified arrays were frozen on every path reaching the "
             "certificate."
@@ -204,8 +204,7 @@ RULE_DOCS: dict[str, RuleDoc] = {
         example="QBDProcess(b00=b00, b01=np.zeros((m, n_b)), ...)",
         fix=(
             "Match the declarations: b01 is (boundary, repeating), b10 "
-            "the reverse, a0/a1/a2 square and same-shape; drop stray .T "
-            "(the Newton vec-trick transpose is the documented waiver)."
+            "the reverse, a0/a1/a2 square and same-shape; drop stray .T."
         ),
     ),
     "RL017": RuleDoc(

@@ -24,9 +24,3 @@ def boundary_split(n_b, m):
 
 def straight_solve(a0, a1, a2):
     return r_matrix(a0, a1, a2)
-
-
-def deliberate_vec_trick(a1, a2, r, eye):
-    # The Newton Frechet derivative builds (B.T kron A); the transpose is
-    # the vec identity, not a QBD block -- waived per convention.
-    return np.kron(a2.T, r)  # noqa: RL016 -- vec-trick: vec(AXB) = (B.T kron A) vec(X)

@@ -39,8 +39,6 @@ RL006
     read-only on all paths (``setflags(write=False)``) makes the
     contract layer skip re-validation of data that can still mutate --
     the exact bug class CLAUDE.md warns silently corrupts every solve.
-    A warm-start seed (``initial_r=``) built locally and still writable
-    is flagged when it rides in under such a certificate.
 RL010
     Call of a deprecated sweep entry point (``load_sweep_series`` /
     ``idle_wait_sweep_series``); mechanically rewritable to
@@ -642,7 +640,7 @@ def rl006_certificate_soundness(tree: ast.AST, path: str) -> Iterator[Violation]
                 ):
                     suspect.append(name)
             for kw, facts in call.kw_facts.items():
-                if kw not in (*_CERTIFIED_BLOCK_KWARGS, "initial_r"):
+                if kw not in _CERTIFIED_BLOCK_KWARGS:
                     continue
                 name = call.kw_names.get(kw)
                 if (
@@ -651,7 +649,7 @@ def rl006_certificate_soundness(tree: ast.AST, path: str) -> Iterator[Violation]
                     and dataflow.ARRAY in facts
                     and dataflow.READONLY not in facts
                 ):
-                    suspect.append(f"{kw}={name}" if kw == "initial_r" else name)
+                    suspect.append(name)
             if suspect:
                 names = ", ".join(sorted(set(suspect)))
                 yield Violation(
