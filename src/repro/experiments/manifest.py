@@ -9,9 +9,10 @@ replays the completed figures *verbatim* from the manifest and recomputes
 only the rest; the solve cache makes the recomputation pick up mid-sweep,
 so the resumed run's output is byte-identical to an uninterrupted run.
 
-The manifest stores the run configuration it was written under (the
-flags that change figure output); a resume under a different
-configuration starts fresh rather than replaying stale text.
+The manifest carries a format number, :data:`MANIFEST_VERSION`.  Bump it
+whenever the rendered output of a figure changes for the same command
+line (a new sampler, a removed option); a resume then starts fresh
+rather than replaying stale text.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ __all__ = ["MANIFEST_NAME", "MANIFEST_VERSION", "RunManifest"]
 #: File name of the manifest, next to the solve-cache entries.
 MANIFEST_NAME = "run-manifest.json"
 
-#: Schema version; a manifest with any other version is ignored.
-MANIFEST_VERSION = 1
+#: Format number; a manifest with any other number is ignored.  2: fig1
+#: samples a new stream and the manifest records no per-run options.
+MANIFEST_VERSION = 2
 
 
 class RunManifest:
@@ -35,29 +37,21 @@ class RunManifest:
     Parameters
     ----------
     path:
-        The manifest file.  Loaded if it exists and matches ``config``
-        and :data:`MANIFEST_VERSION`; started empty otherwise.
-    config:
-        JSON-serializable run configuration (flags that change figure
-        output, e.g. ``{"fast": False}``).  A stored manifest with a
-        different configuration is discarded -- its rendered text would
-        not match the current run.
+        The manifest file.  Loaded if it exists and carries
+        :data:`MANIFEST_VERSION`; started empty otherwise.
     """
 
-    def __init__(self, path: str | os.PathLike, config: dict | None = None) -> None:
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self.config = dict(config or {})
         self._figures: dict[str, str] = {}
         self._load()
 
     @classmethod
-    def in_cache_dir(
-        cls, directory: str | os.PathLike, config: dict | None = None
-    ) -> "RunManifest":
+    def in_cache_dir(cls, directory: str | os.PathLike) -> "RunManifest":
         """The manifest living next to the solve cache in ``directory``."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        return cls(directory / MANIFEST_NAME, config=config)
+        return cls(directory / MANIFEST_NAME)
 
     def _load(self) -> None:
         if not self.path.exists():
@@ -68,11 +62,7 @@ class RunManifest:
             # A torn manifest write loses at most the resume shortcut --
             # the run recomputes from the (still valid) solve cache.
             return
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != MANIFEST_VERSION
-            or payload.get("config") != self.config
-        ):
+        if not isinstance(payload, dict) or payload.get("version") != MANIFEST_VERSION:
             return
         figures = payload.get("figures")
         if isinstance(figures, dict) and all(
@@ -92,11 +82,7 @@ class RunManifest:
     def record(self, figure: str, rendered: str) -> None:
         """Mark ``figure`` complete and persist the manifest atomically."""
         self._figures[figure] = rendered
-        payload = {
-            "version": MANIFEST_VERSION,
-            "config": self.config,
-            "figures": self._figures,
-        }
+        payload = {"version": MANIFEST_VERSION, "figures": self._figures}
         tmp = self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
         tmp.write_text(json.dumps(payload, indent=2) + "\n")
         os.replace(tmp, self.path)

@@ -32,7 +32,7 @@ def build_config(args) -> EngineConfig | None:
     return None if config.is_default else config
 
 
-def execute_figure(name, engine=None, fast: bool = False) -> str:
+def execute_figure(name, engine=None) -> str:
     """Run one figure and return its rendered ASCII form.
 
     The single execution path shared by the blocking CLI below and the
@@ -45,8 +45,6 @@ def execute_figure(name, engine=None, fast: bool = False) -> str:
     kwargs = {}
     if engine is not None and "engine" in inspect.signature(func).parameters:
         kwargs["engine"] = engine
-    if name == "fig1" and fast:
-        kwargs["samples"] = 20_000
     return render_result(func(**kwargs))
 
 
@@ -64,11 +62,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         nargs="+",
         metavar="FIGURE",
         help=f"figure ids ({', '.join(ALL_FIGURES)}) or 'all'",
-    )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="use a smaller sample size for the trace-based Figure 1",
     )
     parser.add_argument(
         "--cache",
@@ -140,15 +133,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     config = build_config(args)
     if args.via_jobs is not None:
-        return _main_via_jobs(args.via_jobs, requested, config, args.fast)
+        return _main_via_jobs(args.via_jobs, requested, config)
 
     # With an on-disk cache the run keeps a crash-safe manifest next to
     # it, whether or not this invocation resumes -- the *next* one might.
     manifest = None
     if args.cache not in (None, ""):
-        manifest = RunManifest.in_cache_dir(
-            args.cache, config={"fast": bool(args.fast)}
-        )
+        manifest = RunManifest.in_cache_dir(args.cache)
 
     engine = None if config is None else config.build_engine()
     exit_code = 0
@@ -160,7 +151,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print()
                 continue
         try:
-            rendered = execute_figure(name, engine=engine, fast=args.fast)
+            rendered = execute_figure(name, engine=engine)
         except Exception as exc:
             if not args.keep_going:
                 raise
@@ -177,7 +168,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     return exit_code
 
 
-def _main_via_jobs(root, requested, config, fast) -> int:
+def _main_via_jobs(root, requested, config) -> int:
     """Run the requested figures through the background-job queue at ``root``.
 
     Import is local: :mod:`repro.jobs` builds on this module's
@@ -188,7 +179,7 @@ def _main_via_jobs(root, requested, config, fast) -> int:
     repository = open_repository(root)
     service = JobService(repository)
     jobs = [
-        service.submit_figure(name, fast=fast, config=config, reuse_completed=True)
+        service.submit_figure(name, config=config, reuse_completed=True)
         for name in requested
     ]
     worker = JobWorker(repository)

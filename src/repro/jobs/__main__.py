@@ -77,7 +77,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_submit = sub.add_parser("submit", help="enqueue a figure job")
     p_submit.add_argument("figure", help="figure id (fig1..fig13)")
-    p_submit.add_argument("--fast", action="store_true")
     p_submit.add_argument(
         "--engine-json",
         default=None,
@@ -168,7 +167,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 config = EngineConfig.from_dict(json.loads(args.engine_json))
             job = service.submit_figure(
                 args.figure,
-                fast=args.fast,
                 config=config,
                 max_retries=args.max_retries,
                 reuse_completed=args.reuse_completed,

@@ -10,7 +10,7 @@ CLI ``serve`` command, which threads MemoryJobRepository workers only).
 
 Routes::
 
-    POST   /jobs                 {"figure": "fig9", "fast": false,
+    POST   /jobs                 {"figure": "fig9",
                                   "engine": {...EngineConfig...}} -> job
     GET    /jobs[?state=pending] -> [job, ...]
     GET    /jobs/<id>            -> job
@@ -157,7 +157,6 @@ class JobApiHandler(BaseHTTPRequestHandler):
             config = EngineConfig.from_dict(payload["engine"])
         job = self.service.submit_figure(
             figure,
-            fast=bool(payload.get("fast", False)),
             config=config,
             max_retries=int(payload.get("max_retries", 3)),
             reuse_completed=bool(payload.get("reuse_completed", False)),

@@ -48,7 +48,6 @@ class JobService:
         self,
         figure: str,
         *,
-        fast: bool = False,
         config: EngineConfig | None = None,
         max_retries: int = 3,
         reuse_completed: bool = False,
@@ -56,7 +55,6 @@ class JobService:
         """Submit one figure job; returns the stored (or reused) record."""
         spec = JobSpec(
             figure=figure,
-            fast=fast,
             engine=self._effective_config(config),
         )
         if reuse_completed:

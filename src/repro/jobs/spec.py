@@ -1,9 +1,9 @@
 """What a job runs: the serializable job specification.
 
 A :class:`JobSpec` pins everything needed to execute a job on *any*
-worker at *any* time: the figure to reproduce, the fast flag, and the
-full :class:`~repro.engine.EngineConfig` the sweep runs under.  The
-engine section is the same frozen config object the blocking CLI builds,
+worker at *any* time: the figure to reproduce and the full
+:class:`~repro.engine.EngineConfig` the sweep runs under.  The engine
+section is the same frozen config object the blocking CLI builds,
 so a job's result is byte-identical to the blocking path by
 construction -- there is no second code path to drift.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.engine.config import EngineConfig
 
@@ -38,8 +38,6 @@ class JobSpec:
         Figure id (``"fig9"``, ...); validated against the registry at
         execution time, not here -- a repository must be able to load
         records submitted by a newer code version.
-    fast:
-        Use the reduced sample size for the trace-based Figure 1.
     engine:
         The :class:`EngineConfig` the worker solves under.  For durable
         repositories the service points ``cache_dir`` into the queue
@@ -50,7 +48,6 @@ class JobSpec:
     """
 
     figure: str
-    fast: bool = False
     engine: EngineConfig = field(default_factory=EngineConfig)
     kind: str = "figure"
 
@@ -68,12 +65,20 @@ class JobSpec:
         return {
             "kind": self.kind,
             "figure": self.figure,
-            "fast": self.fast,
             "engine": self.engine.as_dict(),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> JobSpec:
+        """Rebuild a spec serialized by :meth:`as_dict`.
+
+        Unknown keys raise, like :meth:`EngineConfig.from_dict`: a record
+        carrying a removed setting must not run under silently different
+        settings.
+        """
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown JobSpec field(s): {', '.join(unknown)}")
         data = dict(payload)
         data["engine"] = EngineConfig.from_dict(data.get("engine", {}))
         return cls(**data)

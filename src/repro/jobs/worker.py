@@ -124,7 +124,7 @@ class JobWorker:
         # engine this package configures; keep the layering acyclic.
         from repro.experiments.runner import execute_figure
 
-        return execute_figure(job.spec.figure, engine=engine, fast=job.spec.fast)
+        return execute_figure(job.spec.figure, engine=engine)
 
     def execute(self, job: Job) -> Job:
         """Execute an already-claimed RUNNING job; returns the final record.

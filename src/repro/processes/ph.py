@@ -10,6 +10,7 @@ for the simulator's random variates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import cached_property
 
 import numpy as np
@@ -179,26 +180,37 @@ class PhaseType:
                 out[i] = float(self._alpha @ expm(self._t * xi) @ self.exit_vector)
         return float(out[0]) if scalar else out
 
+    @cached_property
+    def _sampling_tables(self) -> tuple[list[float], list[list[float]], list[float]]:
+        """Cumulative initial and jump distributions (jump rows over next
+        phases then absorption), normalized the way ``Generator.choice``
+        normalizes ``p``, and each phase's mean holding time."""
+        total_rates = -np.diag(self._t)
+        off_diagonal = self._t - np.diag(np.diag(self._t))
+        jump_probs = np.hstack([off_diagonal, self.exit_vector[:, None]])
+        jump_cdf = (jump_probs / total_rates[:, None]).cumsum(axis=1)
+        jump_cdf /= jump_cdf[:, -1:]
+        start_cdf = self._alpha.cumsum()
+        start_cdf /= start_cdf[-1]
+        return start_cdf.tolist(), jump_cdf.tolist(), (1.0 / total_rates).tolist()
+
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw ``size`` variates by simulating the absorbing chain."""
+        """Draw ``size`` variates by simulating the absorbing chain.
+
+        Each phase choice is one uniform looked up with ``bisect_right`` in
+        a cumulative row: the draw ``Generator.choice`` makes given ``p``.
+        """
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
-        exit_rates = self.exit_vector
-        total_rates = -np.diag(self._t)
-        # Per-phase jump distribution over (next phases..., absorb).
-        jump_probs = np.empty((self.order, self.order + 1))
-        for i in range(self.order):
-            row = self._t[i].copy()
-            row[i] = 0.0
-            jump_probs[i, : self.order] = row / total_rates[i]
-            jump_probs[i, self.order] = exit_rates[i] / total_rates[i]
+        start, jumps, hold = self._sampling_tables
+        absorbed = self.order
         out = np.empty(size)
         for k in range(size):
-            phase = int(rng.choice(self.order, p=self._alpha))
+            phase = bisect_right(start, rng.random())
             elapsed = 0.0
-            while phase != self.order:
-                elapsed += rng.exponential(1.0 / total_rates[phase])
-                phase = int(rng.choice(self.order + 1, p=jump_probs[phase]))
+            while phase != absorbed:
+                elapsed += rng.exponential(hold[phase])
+                phase = bisect_right(jumps[phase], rng.random())
             out[k] = elapsed
         return out
 

@@ -20,7 +20,7 @@ milliseconds throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from repro.processes.fitting import fit_mmpp2
 from repro.processes.mmpp import MMPP
@@ -60,8 +60,11 @@ class WorkloadSpec:
         """Mean arrival rate (per ms) at the measured utilization."""
         return self.base_utilization * SERVICE_RATE_PER_MS
 
+    # One fit per spec for the life of the process: specs are frozen and
+    # hashable, and a fitted MMPP's matrices are read-only.
+    @cache
     def fit(self) -> MMPP:
-        """Fit the MMPP(2) for this workload."""
+        """The fitted MMPP(2) for this workload (fitted once, then shared)."""
         return fit_mmpp2(rate=self.base_rate, scv=self.scv, decay=self.acf_decay)
 
 
@@ -79,21 +82,16 @@ WORKLOADS: dict[str, WorkloadSpec] = {
 }
 
 
-@lru_cache(maxsize=None)
-def _fitted(key: str) -> MMPP:
-    return WORKLOADS[key].fit()
-
-
 def email() -> MMPP:
     """The E-mail workload: strongly autocorrelated, slowly decaying ACF."""
-    return _fitted("email")
+    return WORKLOADS["email"].fit()
 
 
 def software_development() -> MMPP:
     """The Software Development workload: weak, fast-decaying ACF."""
-    return _fitted("software_development")
+    return WORKLOADS["software_development"].fit()
 
 
 def user_accounts() -> MMPP:
     """The User Accounts workload: strong ACF at a very light load."""
-    return _fitted("user_accounts")
+    return WORKLOADS["user_accounts"].fit()

@@ -15,9 +15,13 @@ class TestRunner:
         assert "fig2" in out
         assert "E-mail" in out
 
-    def test_fast_flag_for_fig1(self, capsys):
-        assert main(["fig1", "--fast"]) == 0
-        assert "fig1" in capsys.readouterr().out
+    def test_removed_fast_flag_errors(self, capsys):
+        # fig1 samples its full traces in well under a second, so the
+        # reduced-sample option is gone; argparse rejects it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig1", "--fast"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
 
     def test_unknown_figure_errors(self, capsys):
         with pytest.raises(SystemExit):

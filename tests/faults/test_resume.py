@@ -8,6 +8,7 @@ manifest replays completed figures verbatim, and the solve cache lets the
 interrupted figure pick up mid-sweep.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -15,8 +16,17 @@ import sys
 import pytest
 
 from repro import faults
-from repro.experiments.manifest import MANIFEST_NAME, RunManifest
+from repro.experiments.manifest import MANIFEST_NAME, MANIFEST_VERSION, RunManifest
 from repro.experiments.runner import main
+
+#: A manifest as the previous format wrote it: a config dict recording the
+#: removed reduced-sample option, and a stored fig1 made under it.
+STALE_FIG1 = "fig1 rendered from 20000 samples"
+PARENT_FORMAT_MANIFEST = {
+    "version": 1,
+    "config": {"fast": True},
+    "figures": {"fig1": STALE_FIG1},
+}
 
 
 def run_cli(args, env_faults=None, cwd=None):
@@ -61,7 +71,7 @@ class TestKillAndResume:
         cache_dir = str(tmp_path / "cache")
         first = run_cli(["fig9", "--cache", cache_dir])
         assert first.returncode == 0
-        manifest = RunManifest.in_cache_dir(cache_dir, config={"fast": False})
+        manifest = RunManifest.in_cache_dir(cache_dir)
         assert manifest.figures == ("fig9",)
         again = run_cli(["fig9", "--cache", cache_dir, "--resume"])
         assert again.returncode == 0
@@ -77,22 +87,34 @@ class TestKillAndResume:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        manifest = RunManifest.in_cache_dir(tmp_path, config={"fast": False})
+        manifest = RunManifest.in_cache_dir(tmp_path)
         assert manifest.completed("fig9") is None
         manifest.record("fig9", "rendered text\n")
-        reloaded = RunManifest.in_cache_dir(tmp_path, config={"fast": False})
+        reloaded = RunManifest.in_cache_dir(tmp_path)
         assert reloaded.completed("fig9") == "rendered text\n"
 
-    def test_config_mismatch_starts_fresh(self, tmp_path):
-        RunManifest.in_cache_dir(tmp_path, config={"fast": False}).record(
-            "fig1", "slow text"
-        )
-        fast = RunManifest.in_cache_dir(tmp_path, config={"fast": True})
-        assert fast.completed("fig1") is None
+    def test_record_carries_format_number(self, tmp_path):
+        RunManifest.in_cache_dir(tmp_path).record("fig9", "text\n")
+        payload = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert payload == {"version": MANIFEST_VERSION, "figures": {"fig9": "text\n"}}
+
+    def test_other_format_starts_fresh(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(PARENT_FORMAT_MANIFEST))
+        assert RunManifest.in_cache_dir(tmp_path).figures == ()
+
+    def test_parent_format_fig1_not_replayed(self, tmp_path, capsys):
+        # A manifest of the previous format, recorded under the removed
+        # reduced-sample option: its fig1 text must not come back.
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(PARENT_FORMAT_MANIFEST))
+        assert main(["fig1", "--cache", str(tmp_path), "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert STALE_FIG1 not in out
+        assert "200000 synthetic inter-arrivals" in out
+        assert RunManifest.in_cache_dir(tmp_path).completed("fig1") + "\n\n" == out
 
     def test_torn_manifest_is_ignored(self, tmp_path):
         (tmp_path / MANIFEST_NAME).write_text('{"version": 1, "fig')
-        manifest = RunManifest.in_cache_dir(tmp_path, config={})
+        manifest = RunManifest.in_cache_dir(tmp_path)
         assert manifest.figures == ()
 
 

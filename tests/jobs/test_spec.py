@@ -21,13 +21,11 @@ class TestJobSpec:
     def test_defaults(self):
         spec = JobSpec(figure="fig9")
         assert spec.kind == "figure"
-        assert not spec.fast
         assert spec.engine == EngineConfig()
 
     def test_round_trip(self):
         spec = JobSpec(
             figure="fig9",
-            fast=True,
             engine=EngineConfig(cache_dir="/tmp/q", on_error="collect"),
         )
         assert JobSpec.from_dict(spec.as_dict()) == spec
@@ -36,7 +34,7 @@ class TestJobSpec:
         a = JobSpec(figure="fig9")
         b = JobSpec.from_dict(a.as_dict())
         assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != JobSpec(figure="fig9", fast=True).fingerprint()
+        assert a.fingerprint() != JobSpec(figure="fig1").fingerprint()
         assert (
             a.fingerprint()
             != JobSpec(figure="fig9", engine=EngineConfig(batched=True)).fingerprint()
@@ -71,3 +69,12 @@ class TestJobSpec:
             JobSpec.from_dict(payload)
         for name in REMOVED_ENGINE_FIELDS:
             assert name in str(excinfo.value)
+
+    def test_record_with_removed_fast_field_rejected(self):
+        # The reduced-sample fig1 option is gone; a stored spec that still
+        # carries it fails loudly, naming the field.
+        payload = JobSpec(figure="fig1").as_dict()
+        payload["fast"] = True
+        with pytest.raises(ValueError, match="unknown JobSpec field") as excinfo:
+            JobSpec.from_dict(payload)
+        assert "fast" in str(excinfo.value)

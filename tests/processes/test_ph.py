@@ -110,3 +110,31 @@ class TestNumerics:
     def test_sampling_requires_positive_size(self):
         with pytest.raises(ValueError, match=">= 1"):
             PhaseType.exponential(1.0).sample(np.random.default_rng(0), size=0)
+
+    def test_sample_stream_is_pinned(self):
+        # Each phase choice is one uniform looked up in a cumulative row,
+        # the draw and index of Generator.choice(p=...).  The simulator's
+        # PH service and idle waits depend on this stream; these values
+        # pin it.
+        erlang = PhaseType.erlang(3, 0.5).sample(np.random.default_rng(11), size=8)
+        assert erlang.tolist() == [
+            8.749930984701725,
+            3.308412806155066,
+            11.277910098227748,
+            8.628097481884948,
+            2.6211777005681878,
+            1.4316565677497008,
+            3.390920088365877,
+            6.501257785115201,
+        ]
+        h2 = PhaseType.hyperexponential(np.array([0.3, 0.7]), np.array([2.0, 0.25]))
+        assert h2.sample(np.random.default_rng(11), size=8).tolist() == [
+            0.269153503921155,
+            0.058292186968034794,
+            0.09434707697237925,
+            2.8151259999982474,
+            4.064880803557813,
+            5.420764512833971,
+            6.949213793108884,
+            0.2777859043223527,
+        ]

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.processes import MAPSampler, PoissonProcess, describe_sample
+from repro.processes import (
+    InterruptedPoissonProcess,
+    MAPSampler,
+    MarkovianArrivalProcess,
+    PoissonProcess,
+    describe_sample,
+)
+from repro.processes.sampling import BLOCK_EVENTS, phase_path
 
 
 class TestMAPSampler:
@@ -48,3 +55,164 @@ class TestMAPSampler:
         a = MAPSampler(mmpp_bursty, np.random.default_rng(5)).interarrival_times(50)
         b = MAPSampler(mmpp_bursty, np.random.default_rng(5)).interarrival_times(50)
         np.testing.assert_array_equal(a, b)
+
+
+#: A 3-phase MAP with non-diagonal D1 and a clearly positive ACF
+#: (lag 1 ~0.26, decaying over tens of lags).
+MAP3_D1 = np.array([[2.0, 0.1, 0.0], [0.05, 0.4, 0.05], [0.0, 0.02, 0.08]])
+MAP3_HIDDEN = np.array([[0.0, 0.04, 0.01], [0.02, 0.0, 0.02], [0.01, 0.03, 0.0]])
+
+
+def map3() -> MarkovianArrivalProcess:
+    d0 = MAP3_HIDDEN - np.diag(MAP3_HIDDEN.sum(axis=1) + MAP3_D1.sum(axis=1))
+    return MarkovianArrivalProcess(d0, MAP3_D1)
+
+
+def random_map(order: int, rng: np.random.Generator) -> MarkovianArrivalProcess:
+    """A dense random MAP of the given order."""
+    d1 = rng.random((order, order))
+    hidden = rng.random((order, order))
+    np.fill_diagonal(hidden, 0.0)
+    d0 = hidden - np.diag(hidden.sum(axis=1) + d1.sum(axis=1))
+    return MarkovianArrivalProcess(d0, d1)
+
+
+class RecordingRng:
+    """Hands out a real generator's bulk draws and keeps a copy of each."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.draws: list[tuple[str, np.ndarray]] = []
+
+    def random(self, size):
+        out = self._rng.random(size)
+        self.draws.append(("random", out.copy()))
+        return out
+
+    def standard_exponential(self, size):
+        out = self._rng.standard_exponential(size)
+        self.draws.append(("standard_exponential", out.copy()))
+        return out
+
+
+def sequential_replay(process, draws, start: int, n: int):
+    """The MAP recurrence stepped one event at a time over recorded draws:
+    ``(inter-arrival times, phase after the n-th arrival)``."""
+    order = process.order
+    exit_rates = -np.diag(process.d0)
+    probs = np.hstack([process.d0 - np.diag(np.diag(process.d0)), process.d1])
+    cdf = np.cumsum(probs / exit_rates[:, None], axis=1)
+    cdf /= cdf[:, -1:]
+    kinds = [kind for kind, _ in draws]
+    assert kinds == ["random", "standard_exponential"] * (len(draws) // 2)
+    uniforms = np.concatenate([d for kind, d in draws if kind == "random"])
+    holds = np.concatenate([d for kind, d in draws if kind == "standard_exponential"])
+    phase, elapsed, out = start, 0.0, []
+    for u, e in zip(uniforms, holds):
+        elapsed += e / exit_rates[phase]
+        event = int(np.searchsorted(cdf[phase], u, side="right"))
+        phase = event % order
+        if event >= order:
+            out.append(elapsed)
+            elapsed = 0.0
+            if len(out) == n:
+                break
+    return np.array(out), phase
+
+
+class TestPhasePath:
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 1000, 4097])
+    def test_equals_sequential_recurrence(self, order, steps):
+        rng = np.random.default_rng(order * 1000 + steps)
+        next_phase = rng.integers(0, order, size=(order, steps))
+        for start in range(order):
+            expected = [start]
+            for t in range(steps):
+                expected.append(int(next_phase[expected[-1], t]))
+            np.testing.assert_array_equal(phase_path(next_phase, start), expected)
+
+
+class TestBulkSampling:
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_equals_sequential_loop_over_blocks(self, order):
+        # The vectorized blocks (phase scan, carried partial inter-arrival,
+        # cut at the n-th arrival) must reproduce one-event-at-a-time
+        # stepping over the very same uniforms and exponentials.
+        process = random_map(order, np.random.default_rng(order))
+        rng = RecordingRng(seed=order)
+        n = int(1.5 * BLOCK_EVENTS)
+        sampler = MAPSampler(process, rng, initial_phase=order - 1)
+        got = sampler.interarrival_times(n)
+        assert len(rng.draws) >= 4, "expected more than one block"
+        want, phase = sequential_replay(process, rng.draws, order - 1, n)
+        # Same float64 terms, summed in another order: a few ulp apart.
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert sampler.phase == phase
+
+    def test_phase_after_last_arrival(self, rng):
+        # Every arrival lands in phase 1, and phase 1 leaves only by
+        # hidden transitions to phase 0: the sampler must report the phase
+        # right after the n-th arrival, not the last phase of its block.
+        d1 = np.array([[0.0, 1.0], [0.0, 0.2]])
+        d0 = np.array([[-1.5, 0.5], [5.0, -5.2]])
+        for n in (1, 7, 5000, BLOCK_EVENTS + 3):
+            sampler = MAPSampler(MarkovianArrivalProcess(d0, d1), rng, initial_phase=0)
+            sampler.interarrival_times(n)
+            assert sampler.phase == 1
+
+    def test_n_equals_one(self, rng, mmpp_bursty):
+        x = MAPSampler(mmpp_bursty, rng).interarrival_times(1)
+        assert x.shape == (1,) and x[0] > 0
+
+    def test_bulk_then_per_event_on_one_sampler(self, rng, mmpp_bursty):
+        sampler = MAPSampler(mmpp_bursty, rng)
+        bulk = sampler.interarrival_times(1000)
+        phase = sampler.phase
+        assert phase in (0, 1)
+        nxt = sampler.next_interarrival()
+        assert np.all(bulk > 0) and nxt > 0
+        assert sampler.phase in (0, 1)
+
+    def test_per_event_stream_is_pinned(self, mmpp_bursty):
+        # One uniform per event, looked up in the phase's cumulative row:
+        # the same draw and index as Generator.choice(p=row).  Seeded
+        # simulations depend on this stream; these values pin it.
+        sampler = MAPSampler(mmpp_bursty, np.random.default_rng(11))
+        got = [sampler.next_interarrival() for _ in range(8)]
+        assert got == [
+            6.712057454392892,
+            0.5710354096238077,
+            47.26759906055764,
+            2.3527949369670633,
+            12.004242283030038,
+            4.3149557656978,
+            12.671074824058019,
+            18.335377455605812,
+        ]
+
+
+#: n is above BLOCK_EVENTS events for both processes, so the statistics
+#: cover the carry across blocks.  Over 100 seeds at this n the relative
+#: error of the mean had a standard deviation of at most 0.013 and of the
+#: SCV 0.015, and the lag-1..10 ACF error at most 0.0065, with no visible
+#: bias; the tolerances below are about five of those deviations.
+STAT_N = 100_000
+MEAN_RTOL = 0.07
+SCV_RTOL = 0.075
+ACF_ATOL = 0.03
+
+
+class TestBulkStatistics:
+    @pytest.mark.parametrize(
+        "process",
+        [InterruptedPoissonProcess(1.0, 0.2, 0.1), map3()],
+        ids=["ipp", "map3"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_closed_forms(self, process, seed):
+        x = MAPSampler(process, np.random.default_rng(seed)).interarrival_times(STAT_N)
+        summary = describe_sample(x, lags=10)
+        assert x.mean() == pytest.approx(process.mean_interarrival, rel=MEAN_RTOL)
+        assert summary.cv**2 == pytest.approx(process.scv, rel=SCV_RTOL)
+        np.testing.assert_allclose(summary.acf, process.acf(10), rtol=0, atol=ACF_ATOL)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.processes import fit_mmpp2
 from repro.workloads import (
     SERVICE_RATE_PER_MS,
     SERVICE_TIME_MS,
     WORKLOADS,
+    WorkloadSpec,
     email,
     software_development,
     user_accounts,
@@ -57,6 +59,25 @@ class TestFittedWorkloads:
 
     def test_fits_are_cached(self):
         assert email() is email()
+        assert WORKLOADS["email"].fit() is email()
+
+    def test_fig1_fits_each_workload_once(self, monkeypatch):
+        from repro.experiments.figures import fig1_trace_acf
+        from repro.workloads import paper
+
+        calls = []
+
+        def counting_fit(**kwargs):
+            calls.append(kwargs)
+            return fit_mmpp2(**kwargs)
+
+        monkeypatch.setattr(paper, "fit_mmpp2", counting_fit)
+        WorkloadSpec.fit.cache_clear()
+        try:
+            fig1_trace_acf(samples=1000)
+        finally:
+            WorkloadSpec.fit.cache_clear()
+        assert len(calls) == 3
 
     def test_all_orders_are_two(self):
         for accessor in (email, software_development, user_accounts):
