@@ -2,15 +2,14 @@
 
 The unit suite (``tests/jobs/test_soak.py``) keeps its iteration count
 small; this driver is the "hundreds of seeded iterations" form: it
-storms both durable backends with worker kills, torn writes, full disks
-and clock skew, asserts that *no* safety invariant was violated across
-the whole run, and writes the per-backend tallies to ``BENCH_soak.json``
-at the repository root so regressions in recovery behaviour (more
-quarantines, fewer rejected zombie writes) are visible in review diffs.
+storms the job store with worker kills, torn writes, full disks and
+clock skew, asserts that *no* safety invariant was violated across the
+whole run, and writes the tallies to ``BENCH_soak.json`` at the
+repository root so regressions in recovery behaviour (more quarantines,
+fewer rejected zombie writes) are visible in review diffs.
 
-``REPRO_SOAK_ITERATIONS`` overrides the per-backend iteration count
-(the CI ``jobs-soak`` job uses that to guarantee >= 200 iterations
-across the two backends).
+``REPRO_SOAK_ITERATIONS`` overrides the iteration count (default 240,
+which is what the CI ``jobs-soak`` job runs).
 """
 
 import json
@@ -21,66 +20,48 @@ from repro.jobs.soak import soak
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_soak.json"
 
-DURABLE_BACKENDS = ("file", "sqlite")
 
-
-def iterations(default: int = 100) -> int:
+def iterations(default: int = 240) -> int:
     raw = repro_env("REPRO_SOAK_ITERATIONS")
     return int(raw) if raw else default
 
 
-def bench_soak_both_backends(benchmark, tmp_path):
-    per_backend = iterations()
+def bench_soak(benchmark, tmp_path):
+    count = iterations()
 
     def storm():
-        return {
-            backend: soak(
-                tmp_path / backend,
-                backend=backend,
-                iterations=per_backend,
-                seed=2006,
-            )
-            for backend in DURABLE_BACKENDS
-        }
+        return soak(tmp_path, iterations=count, seed=2006)
 
-    reports = benchmark.pedantic(storm, rounds=1, iterations=1)
+    report = benchmark.pedantic(storm, rounds=1, iterations=1)
 
-    for backend, report in reports.items():
-        assert report.violations == (), (
-            f"{backend}: " + "\n".join(report.violations)
-        )
-        assert report.kills_injected > 0
-        assert report.torn_writes > 0
-        assert report.zombie_writes_rejected == report.zombie_writes_attempted
-        assert report.jobs_submitted == (
-            report.completed
-            + report.failed
-            + report.cancelled
-            + report.quarantined
-        )
+    assert report.violations == (), "\n".join(report.violations)
+    assert report.kills_injected > 0
+    assert report.torn_writes > 0
+    assert report.zombie_writes_rejected == report.zombie_writes_attempted
+    assert report.jobs_submitted == (
+        report.completed + report.failed + report.cancelled + report.quarantined
+    )
 
     OUTPUT.write_text(
         json.dumps(
             {
-                "iterations_per_backend": per_backend,
-                "reports": {
-                    backend: {
-                        "summary": report.summary(),
-                        "jobs_submitted": report.jobs_submitted,
-                        "completed": report.completed,
-                        "failed": report.failed,
-                        "cancelled": report.cancelled,
-                        "quarantined": report.quarantined,
-                        "kills_injected": report.kills_injected,
-                        "torn_writes": report.torn_writes,
-                        "disk_fulls": report.disk_fulls,
-                        "sweeps": report.sweeps,
-                        "requeues": report.requeues,
-                        "zombie_writes_attempted": report.zombie_writes_attempted,
-                        "zombie_writes_rejected": report.zombie_writes_rejected,
-                        "releases": report.releases,
-                    }
-                    for backend, report in reports.items()
+                "iterations": count,
+                "report": {
+                    "summary": report.summary(),
+                    "jobs_submitted": report.jobs_submitted,
+                    "completed": report.completed,
+                    "failed": report.failed,
+                    "cancelled": report.cancelled,
+                    "quarantined": report.quarantined,
+                    "kills_injected": report.kills_injected,
+                    "torn_writes": report.torn_writes,
+                    "disk_fulls": report.disk_fulls,
+                    "sweeps": report.sweeps,
+                    "requeues": report.requeues,
+                    "zombie_writes_attempted": report.zombie_writes_attempted,
+                    "zombie_writes_rejected": report.zombie_writes_rejected,
+                    "releases": report.releases,
+                    "violations": len(report.violations),
                 },
             },
             indent=2,

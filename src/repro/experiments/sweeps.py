@@ -8,9 +8,8 @@ caching and, with ``batched=True``, stacked solves that pool every curve
 of a :func:`sweep_many` call.
 
 The pre-engine entry points ``load_sweep_series`` and
-``idle_wait_sweep_series`` were deprecated when the engine landed and
-have been removed; ``python -m tools.reprolint --fix`` still rewrites
-surviving call sites to the equivalent :func:`sweep_many` form (RL010).
+``idle_wait_sweep_series`` were removed when the engine landed; their
+equivalent is :func:`sweep_many` over the matching axis.
 """
 
 from __future__ import annotations

@@ -87,11 +87,9 @@ KNOWN_FAULT_POINTS = frozenset(
         # repro.engine.cache.SolveCache.put: SIGKILL the *current*
         # process after the entry lands -- crash-safety / --resume tests.
         "kill_run",
-        # repro.jobs.store.FileJobStore._write / SqliteJobStore durable
-        # writes: simulated death between the tmp.<pid> write and the
-        # os.replace (or inside the SQLite transaction, before commit) --
-        # the record must keep its old value, never a torn one.  Raises
-        # InjectedKill.
+        # repro.jobs.store.SqliteJobStore durable writes: simulated death
+        # inside the transaction, before commit -- the record must keep
+        # its old value, never a torn one.  Raises InjectedKill.
         "torn_write",
         # Same write paths: ENOSPC on the durable write (raises OSError
         # with errno ENOSPC before any byte lands).
@@ -101,10 +99,6 @@ KNOWN_FAULT_POINTS = frozenset(
         # writes skewed heartbeats; the sweeper must not steal its job
         # on that evidence alone).
         "clock_skew",
-        # repro.jobs.store lock release: the holder "dies" before
-        # unlinking its O_EXCL lock file, orphaning it until broken by
-        # age.
-        "lock_orphan",
     }
 )
 

@@ -14,12 +14,12 @@ recoverable when the worker dies:
   its operator-release exit).
 * :mod:`~repro.jobs.spec` -- :class:`JobSpec`, the serializable work
   description (figure + :class:`~repro.engine.EngineConfig`).
-* :mod:`~repro.jobs.store` / :mod:`~repro.jobs.sqlite_store` -- the
-  pluggable :class:`JobStore` backend seam: in-memory, crash-safe
-  JSON-dir, and WAL-mode SQLite with single-statement compare-and-swap.
+* :mod:`~repro.jobs.store` -- :class:`SqliteJobStore`, the durable
+  records: one WAL-mode SQLite database with single-statement
+  compare-and-swap (``:memory:`` when opened without a root).
 * :mod:`~repro.jobs.repository` -- :class:`JobRepository`, the queue
-  protocol (optimistic concurrency, fencing epochs, claims) generic
-  over any store; :func:`open_repository` picks a backend.
+  protocol (optimistic concurrency, fencing epochs, claims) over the
+  store; :func:`open_repository` opens the durable queue in a directory.
 * :mod:`~repro.jobs.worker` -- :class:`JobWorker`, claim + execute with
   progress/heartbeat and cooperative cancellation.
 * :mod:`~repro.jobs.sweeper` -- :class:`StaleJobSweeper`, requeues jobs
@@ -56,19 +56,14 @@ from repro.jobs.lifecycle import (
     Job,
 )
 from repro.jobs.repository import (
-    FileJobRepository,
     JobRepository,
-    LockContentionError,
-    MemoryJobRepository,
-    SqliteJobRepository,
     StaleJobError,
     UnknownJobError,
     open_repository,
 )
 from repro.jobs.service import JobNotFinished, JobService
 from repro.jobs.spec import JobSpec
-from repro.jobs.sqlite_store import SqliteJobStore
-from repro.jobs.store import FileJobStore, JobStore, MemoryJobStore
+from repro.jobs.store import SqliteJobStore
 from repro.jobs.sweeper import StaleJobSweeper, SweeperStats
 from repro.jobs.worker import JobWorker, default_worker_id
 
@@ -84,20 +79,13 @@ __all__ = [
     "TRANSITIONS",
     "AdminService",
     "Attempt",
-    "FileJobRepository",
-    "FileJobStore",
     "InvalidTransition",
     "Job",
     "JobNotFinished",
     "JobRepository",
     "JobService",
     "JobSpec",
-    "JobStore",
     "JobWorker",
-    "LockContentionError",
-    "MemoryJobRepository",
-    "MemoryJobStore",
-    "SqliteJobRepository",
     "SqliteJobStore",
     "StaleJobError",
     "StaleJobSweeper",

@@ -17,9 +17,7 @@ Everything a deployment needs, one subcommand each::
 
 The ``--dir`` directory is the durable queue; every command operating
 on the same directory sees the same jobs, across processes and across
-crashes.  ``--backend`` picks the store (``file`` JSON-dir, ``sqlite``
-WAL database, or the default ``auto``, which re-opens whatever backend
-already lives in the directory).
+crashes; the jobs live in one SQLite database, ``DIR/jobs.sqlite3``.
 """
 
 from __future__ import annotations
@@ -65,13 +63,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         metavar="DIR",
         help="queue directory (default ./jobs-queue); all commands "
         "against the same DIR share one durable queue",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "file", "sqlite"),
-        default="auto",
-        help="job-store backend (default auto: re-open whatever backend "
-        "already lives in DIR, JSON-dir for a fresh queue)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -157,7 +148,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_serve.add_argument("--port", type=int, default=8642)
 
     args = parser.parse_args(argv)
-    repository = open_repository(args.queue_dir, backend=args.backend)
+    try:
+        repository = open_repository(args.queue_dir)
+    except ValueError as exc:  # a queue written by the JSON-dir store
+        parser.error(str(exc))
     service = JobService(repository)
 
     try:

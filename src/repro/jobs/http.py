@@ -5,8 +5,7 @@ operations as the CLI -- nothing here computes anything; every route is
 a direct call into :class:`~repro.jobs.service.JobService` /
 :class:`~repro.jobs.admin.AdminService`, so HTTP submissions produce
 records (and results) identical to CLI ones.  Workers are *not* started
-by the server; run them separately (or rely on ``--workers N`` of the
-CLI ``serve`` command, which threads MemoryJobRepository workers only).
+by the server; run ``python -m repro.jobs worker --dir DIR`` separately.
 
 Routes::
 

@@ -1,27 +1,20 @@
-"""The queue protocol over a pluggable :class:`~repro.jobs.store.JobStore`.
+"""The queue protocol over the SQLite :class:`~repro.jobs.store.SqliteJobStore`.
 
-:class:`JobRepository` implements the full claim/update protocol --
+:class:`JobRepository` implements the claim/update protocol --
 optimistic-concurrency updates, fencing-epoch stamping on claims,
-oldest-first claim scans -- generically over any store backend, so the
-queue semantics are written (and tested) exactly once:
+oldest-first claim scans -- over the store's five primitives.
+``JobRepository(root)`` (or :func:`open_repository`) opens the durable
+queue at ``root``; ``JobRepository()`` opens a private ``:memory:``
+queue for unit tests and the thread-based HTTP front end.
 
-* :class:`MemoryJobRepository` -- in-process dict store; unit tests and
-  the thread-based HTTP front end.
-* :class:`FileJobRepository` -- crash-safe JSON-dir store
-  (:class:`~repro.jobs.store.FileJobStore`): ``tmp.<pid>`` +
-  ``os.replace`` records plus short-lived ``O_EXCL`` RMW locks.
-* :class:`SqliteJobRepository` -- WAL-mode SQLite store
-  (:class:`~repro.jobs.sqlite_store.SqliteJobStore`): single-statement
-  compare-and-swap, no lock files.
-
-All of them enforce *optimistic concurrency*: every stored job carries a
-``version``, every update requires the writer's copy to match it, and a
-mismatch raises :class:`StaleJobError`.  Claims additionally stamp a
-monotonically increasing *fencing epoch* on the lease, so a zombie
-worker -- one whose job was requeued under it and claimed by someone
-else -- is rejected by version *and* identifiable by epoch: the error
-says whether the writer merely raced another update (re-read and
-re-apply) or provably lost its lease (stand down).
+Every stored job carries a ``version``, every update requires the
+writer's copy to match it, and a mismatch raises
+:class:`StaleJobError`.  Claims additionally stamp a monotonically
+increasing *fencing epoch* on the lease, so a zombie worker -- one
+whose job was requeued under it and claimed by someone else -- is
+rejected by version *and* identifiable by epoch: the error says whether
+the writer merely raced another update (re-read and re-apply) or
+provably lost its lease (stand down).
 """
 
 from __future__ import annotations
@@ -30,23 +23,10 @@ import os
 from dataclasses import replace
 
 from repro.jobs.lifecycle import PENDING, Job
-from repro.jobs.sqlite_store import SqliteJobStore
-from repro.jobs.store import (
-    FileJobStore,
-    JobStore,
-    LockContentionError,
-    MemoryJobStore,
-    StaleJobError,
-    UnknownJobError,
-    now_ms,
-)
+from repro.jobs.store import SqliteJobStore, StaleJobError, UnknownJobError, now_ms
 
 __all__ = [
-    "FileJobRepository",
     "JobRepository",
-    "LockContentionError",
-    "MemoryJobRepository",
-    "SqliteJobRepository",
     "StaleJobError",
     "UnknownJobError",
     "open_repository",
@@ -54,10 +34,13 @@ __all__ = [
 
 
 class JobRepository:
-    """The queue protocol, generic over a :class:`JobStore` backend."""
+    """The queue protocol over the job store at ``root``.
 
-    def __init__(self, store: JobStore) -> None:
-        self.store = store
+    ``root=None`` opens a private in-memory queue (no shared cache).
+    """
+
+    def __init__(self, root: str | os.PathLike | None = None) -> None:
+        self.store = SqliteJobStore(root)
 
     @property
     def cache_dir(self) -> str | None:
@@ -71,7 +54,7 @@ class JobRepository:
         return self.store.cache_dir
 
     def close(self) -> None:
-        """Release the backend's resources.  Idempotent."""
+        """Release the store's connection.  Idempotent."""
         self.store.close()
 
     def submit(self, job: Job) -> Job:
@@ -127,8 +110,8 @@ class JobRepository:
                     worker_id, claim_now_ms, epoch=current.epoch + 1
                 )
                 return self.update(claimed)
-            except (UnknownJobError, StaleJobError, TimeoutError):
-                continue  # purged, raced or contended underneath us
+            except (UnknownJobError, StaleJobError):
+                continue  # purged or raced underneath us
         return None
 
     def list_jobs(self, state: str | None = None) -> list[Job]:
@@ -143,90 +126,11 @@ class JobRepository:
         self.store.remove(job_id)
 
 
-class MemoryJobRepository(JobRepository):
-    """In-process repository over a :class:`MemoryJobStore`.
+def open_repository(root: str | os.PathLike) -> JobRepository:
+    """Open the durable queue at ``root``, creating it if needed.
 
-    Supports multi-threaded workers (the HTTP front end executes jobs on
-    threads) but naturally not multi-process ones -- that is what the
-    durable backends are for.
+    Raises ``ValueError`` for a root holding a queue written by the
+    JSON-dir store of earlier releases (a ``jobs/`` directory and no
+    ``jobs.sqlite3``).
     """
-
-    def __init__(self) -> None:
-        super().__init__(MemoryJobStore())
-
-
-class FileJobRepository(JobRepository):
-    """Crash-safe JSON-dir repository over a :class:`FileJobStore`.
-
-    See the store for the durability model; ``jobs_dir``/``root`` and
-    the lock knobs are re-exposed here for callers and tests.
-    """
-
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        lock_timeout_ms: float = 5_000.0,
-        lock_acquire_timeout_ms: float = 30_000.0,
-    ):
-        super().__init__(
-            FileJobStore(
-                root,
-                lock_timeout_ms=lock_timeout_ms,
-                lock_acquire_timeout_ms=lock_acquire_timeout_ms,
-            )
-        )
-
-    @property
-    def root(self):
-        return self.store.root
-
-    @property
-    def jobs_dir(self):
-        return self.store.jobs_dir
-
-    @property
-    def lock_timeout_ms(self) -> float:
-        return self.store.lock_timeout_ms
-
-
-class SqliteJobRepository(JobRepository):
-    """WAL-mode SQLite repository over a :class:`SqliteJobStore`."""
-
-    def __init__(self, root: str | os.PathLike, busy_timeout_ms: float = 10_000.0):
-        super().__init__(SqliteJobStore(root, busy_timeout_ms=busy_timeout_ms))
-
-    @property
-    def root(self):
-        return self.store.root
-
-    @property
-    def db_path(self):
-        return self.store.db_path
-
-
-def open_repository(root: str | os.PathLike, backend: str = "auto") -> JobRepository:
-    """Open the durable repository at ``root`` with the chosen backend.
-
-    ``backend`` is ``"file"`` (JSON-dir), ``"sqlite"``, or ``"auto"``:
-    auto re-opens whatever backend already lives at ``root`` (an
-    existing ``jobs.sqlite3`` wins over an existing ``jobs/`` dir) and
-    defaults to the JSON-dir layout for a fresh root, so existing queues
-    keep working untouched.
-    """
-    from pathlib import Path
-
-    root = Path(root)
-    if backend == "auto":
-        if (root / "jobs.sqlite3").exists():
-            backend = "sqlite"
-        elif (root / "jobs").is_dir():
-            backend = "file"
-        else:
-            backend = "file"
-    if backend == "file":
-        return FileJobRepository(root)
-    if backend == "sqlite":
-        return SqliteJobRepository(root)
-    raise ValueError(
-        f"unknown job-store backend {backend!r}; choose from auto, file, sqlite"
-    )
+    return JobRepository(root)

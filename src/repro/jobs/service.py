@@ -4,10 +4,10 @@
 ``python -m repro.experiments --via-jobs`` all drive.  It owns the two
 policies that make the queue durable *and* deterministic:
 
-* every figure job submitted against a :class:`FileJobRepository` gets
-  its engine cache pointed at the queue's shared ``cache/`` directory
-  (unless the caller configured a cache explicitly), so a requeued job
-  resumes through the dead worker's completed solves;
+* every figure job submitted against a durable queue gets its engine
+  cache pointed at the queue's shared ``cache/`` directory (unless the
+  caller configured a cache explicitly), so a requeued job resumes
+  through the dead worker's completed solves;
 * ``reuse_completed=True`` recognizes an already COMPLETED job with the
   same spec fingerprint and returns it instead of re-submitting -- the
   job-queue form of the blocking CLI's ``--resume``.
@@ -74,7 +74,7 @@ class JobService:
         cache is what turns a requeue into a resume.
         """
         config = config if config is not None else EngineConfig()
-        cache_dir = getattr(self.repository, "cache_dir", None)
+        cache_dir = self.repository.cache_dir
         if cache_dir is not None and config.cache_dir is None and not config.cache_memory:
             config = config.replace(cache_dir=cache_dir)
         return config

@@ -2,7 +2,7 @@
 
 One :class:`SoakHarness` iteration simulates a small fleet -- submitters,
 workers, the stale-job sweeper, and the occasional zombie -- against a
-*real* repository backend, entirely in one process on a *logical* clock,
+*real* on-disk repository, entirely in one process on a *logical* clock,
 with every nondeterministic choice drawn from one seeded RNG.  Kill
 points (a worker "SIGKILLed" mid-solve via
 :class:`~repro.faults.InjectedKill`), torn durable writes, disk-full
@@ -49,7 +49,6 @@ from repro.jobs.repository import (
     JobRepository,
     StaleJobError,
     UnknownJobError,
-    open_repository,
 )
 from repro.jobs.spec import JobSpec
 from repro.jobs.sweeper import LeaseClampWarning, StaleJobSweeper
@@ -87,7 +86,6 @@ class SoakReport:
     """What a soak run observed.  ``violations`` empty == queue held up."""
 
     iterations: int
-    backend: str
     seed: int
     jobs_submitted: int
     completed: int
@@ -107,7 +105,7 @@ class SoakReport:
     def summary(self) -> str:
         status = "OK" if not self.violations else f"{len(self.violations)} VIOLATIONS"
         return (
-            f"soak[{self.backend}] seed={self.seed} "
+            f"soak seed={self.seed} "
             f"iterations={self.iterations}: {status} -- "
             f"jobs={self.jobs_submitted} completed={self.completed} "
             f"failed={self.failed} quarantined={self.quarantined} "
@@ -228,8 +226,6 @@ class SoakHarness:
             worker.run_once()
         except InjectedKill:
             pass  # simulated SIGKILL: the record stays RUNNING, orphaned
-        except TimeoutError:
-            pass  # lock contention: the claim/write retries on a later step
         except OSError:
             self.tally.disk_fulls += 1
 
@@ -241,8 +237,6 @@ class SoakHarness:
             swept = self.sweeper.sweep()
         except InjectedKill:
             return  # the sweeper died mid-write; its CAS either landed or not
-        except TimeoutError:
-            return
         except OSError:
             self.tally.disk_fulls += 1
             return
@@ -432,25 +426,24 @@ class SoakHarness:
 
 def soak(
     root,
-    backend: str,
     iterations: int,
     seed: int = 0,
     torn_write_rate: float = 0.04,
     disk_full_rate: float = 0.02,
     **harness_kwargs,
 ) -> SoakReport:
-    """Run ``iterations`` seeded chaos iterations against ``backend``.
+    """Run ``iterations`` seeded chaos iterations against the job store.
 
     Each iteration gets a fresh queue under ``root`` and its own derived
     seed, with store-level ``torn_write``/``disk_full``/``clock_skew``
-    faults armed for the durable backends; the per-iteration
+    faults armed; the per-iteration
     :class:`SoakHarness` injects worker kills and zombie writes on top.
     """
     tally = _Tally()
     for iteration in range(iterations):
         iter_seed = seed * 1_000_003 + iteration
         queue_root = Path(root) / f"iter-{iteration:04d}"
-        repository = _open(queue_root, backend)
+        repository = JobRepository(queue_root)
         # clock_skew shifts every wall-clock ``store.now_ms`` read (the
         # operator-facing paths); the harness actors themselves run on
         # the iteration's logical clock, so determinism is unaffected.
@@ -470,7 +463,6 @@ def soak(
             repository.close()
     return SoakReport(
         iterations=iterations,
-        backend=backend,
         seed=seed,
         jobs_submitted=tally.jobs_submitted,
         completed=tally.completed,
@@ -487,19 +479,3 @@ def soak(
         releases=tally.releases,
         violations=tuple(tally.violations),
     )
-
-
-def _open(queue_root, backend: str) -> JobRepository:
-    if backend == "memory":
-        from repro.jobs.repository import MemoryJobRepository
-
-        return MemoryJobRepository()
-    if backend == "file":
-        # Short lock-break ages keep orphaned locks (a holder killed
-        # mid-write) from stalling the single-process soak on wall time.
-        from repro.jobs.repository import FileJobRepository
-
-        return FileJobRepository(
-            queue_root, lock_timeout_ms=25.0, lock_acquire_timeout_ms=2_000.0
-        )
-    return open_repository(queue_root, backend=backend)

@@ -1,39 +1,33 @@
-"""The pluggable :class:`JobStore` backend seam of the job queue.
+"""The job store: durable job records in one WAL-mode SQLite database.
 
 A store is the *durable record* layer under
 :class:`~repro.jobs.repository.JobRepository`: five primitive
 operations -- insert, read, compare-and-swap replace, scan, remove --
-each of which must be atomic and crash-consistent on its own.  All queue
-semantics (claim ordering, fencing epochs, requeue, quarantine) are
-built on top of the CAS in the repository, so a new backend only has to
-get these five right to inherit the whole protocol, and the shared
-conformance suite (``tests/jobs/test_store_conformance.py``) checks
-exactly that.
+each atomic and crash-consistent on its own.  All queue semantics
+(claim ordering, fencing epochs, requeue, quarantine) are built on top
+of the CAS in the repository; the conformance suite
+(``tests/jobs/test_store_conformance.py``) checks the five primitives.
 
-Backends shipping here:
+WAL gives crash-atomic commits (a reader never sees a half-written
+record; a process killed mid-transaction rolls back on the next open)
+and lets readers proceed while a writer commits.  The
+optimistic-concurrency primitive is a *single-statement*
+compare-and-swap::
 
-* :class:`MemoryJobStore` -- a lock-guarded dict; the unit-test and
-  single-process substrate.
-* :class:`FileJobStore` -- one JSON document per job under
-  ``<root>/jobs/``, written atomically (``tmp.<pid>`` + ``os.replace``),
-  so a SIGKILL at any instant leaves either the old record or the new
-  one, never a torn file.  Cross-process mutual exclusion uses a
-  short-lived ``O_EXCL`` lock file per job held only across a
-  read-modify-write (microseconds; no solving happens under a lock),
-  acquired with jittered exponential backoff under an explicit timeout
-  (:class:`LockContentionError`); a lock orphaned by a kill inside that
-  window is broken by age.
+    UPDATE jobs SET ... WHERE job_id = ? AND version = ?
 
-:class:`~repro.jobs.sqlite_store.SqliteJobStore` (WAL mode,
-single-statement compare-and-swap) lives in its own module so importing
-the queue never touches ``sqlite3`` unless that backend is chosen.
+whose rowcount tells the writer whether it held the current version --
+no read-modify-write window, hence no lock files.  Cross-process
+serialization is SQLite's own (``busy_timeout`` retries writer
+collisions); in-process threads share one connection behind an
+``RLock``.  A store opened with ``root=None`` lives on ``:memory:`` --
+the same code on a private database, for tests and single-process use.
 
-Chaos hooks: the durable-write path carries the ``disk_full`` (ENOSPC
-before any byte lands) and ``torn_write`` (simulated death between the
-tmp write and the replace) fault points, the lock release carries
-``lock_orphan`` (holder dies before unlinking), and :func:`now_ms`
-honours ``clock_skew`` (per-process heartbeat clock offset) -- all
-driven by :mod:`repro.faults`.
+Chaos hooks, driven by :mod:`repro.faults`: the write paths carry the
+``disk_full`` (ENOSPC before any byte lands) and ``torn_write``
+(simulated death inside the transaction, before commit, so the rollback
+must preserve the old record) fault points, and :func:`now_ms` honours
+``clock_skew`` (per-process heartbeat clock offset).
 """
 
 from __future__ import annotations
@@ -41,24 +35,28 @@ from __future__ import annotations
 import errno
 import json
 import os
-import random
+import sqlite3
 import threading
 import time
-from abc import ABC, abstractmethod
 from pathlib import Path
 
 from repro.faults import InjectedKill, fire as _fault_fire, fire_value as _fault_value
 from repro.jobs.lifecycle import Job
 
-__all__ = [
-    "FileJobStore",
-    "JobStore",
-    "LockContentionError",
-    "MemoryJobStore",
-    "StaleJobError",
-    "UnknownJobError",
-    "now_ms",
-]
+__all__ = ["SqliteJobStore", "StaleJobError", "UnknownJobError", "now_ms"]
+
+#: How long a writer waits on another process's write lock (ms).
+BUSY_TIMEOUT_MS = 10_000
+
+_SCHEMA = """\
+CREATE TABLE IF NOT EXISTS jobs (
+    job_id     TEXT PRIMARY KEY,
+    version    INTEGER NOT NULL,
+    state      TEXT NOT NULL,
+    created_ms REAL NOT NULL,
+    payload    TEXT NOT NULL
+)
+"""
 
 
 class UnknownJobError(KeyError):
@@ -77,15 +75,6 @@ class StaleJobError(RuntimeError):
     """
 
 
-class LockContentionError(TimeoutError):
-    """A per-job RMW lock could not be acquired within the timeout.
-
-    Raised instead of spinning forever so a CLI caller gets a typed,
-    actionable error; the repository's claim loop treats it as "skip
-    this candidate".
-    """
-
-
 def now_ms() -> float:
     """Wall-clock milliseconds since the epoch (heartbeats, timestamps).
 
@@ -97,278 +86,157 @@ def now_ms() -> float:
     return time.time() * 1000.0 + (skew_ms or 0.0)
 
 
-class JobStore(ABC):
-    """Durable record storage: the five primitives a backend must get right.
+class SqliteJobStore:
+    """Durable job records in a single WAL-mode SQLite database.
 
-    Every operation is atomic.  ``replace`` is the linchpin: an atomic
-    compare-and-swap on the stored version counter, which is what makes
-    claims exclusive and zombie writes rejectable without any
-    backend-specific claim logic.
+    Layout under ``root``::
+
+        root/jobs.sqlite3   the database (plus SQLite's -wal/-shm)
+        root/cache/         the queue's shared solve cache
+
+    With ``root=None`` the database is ``:memory:`` and there is no
+    shared cache directory.  The full record is stored as its JSON
+    document in ``payload``; ``version``/``state``/``created_ms`` are
+    mirrored into columns so the CAS is a single statement.
     """
 
-    @abstractmethod
-    def insert(self, job: Job) -> None:
-        """Store a fresh record; raises ``ValueError`` if the id exists."""
-
-    @abstractmethod
-    def read(self, job_id: str) -> Job:
-        """The current stored copy; raises :class:`UnknownJobError`."""
-
-    @abstractmethod
-    def replace(self, job: Job, expected_version: int) -> None:
-        """Atomic CAS: store ``job`` iff the stored version equals
-        ``expected_version``; raises :class:`StaleJobError` on a
-        mismatch and :class:`UnknownJobError` for a vanished job."""
-
-    @abstractmethod
-    def scan(self) -> list[Job]:
-        """Every stored record (order unspecified; the repository sorts)."""
-
-    @abstractmethod
-    def remove(self, job_id: str) -> None:
-        """Remove a record; raises :class:`UnknownJobError`."""
+    def __init__(self, root: str | os.PathLike | None = None):
+        self.root = None if root is None else Path(root)
+        self.db_path = None if root is None else self.root / "jobs.sqlite3"
+        if self.root is not None:
+            legacy = self.root / "jobs"
+            if legacy.is_dir() and not self.db_path.exists():
+                raise ValueError(
+                    f"{legacy} holds a queue written by the JSON-dir job "
+                    "store, which this release no longer reads; drain it "
+                    "with the previous release first, then remove it"
+                )
+            self.root.mkdir(parents=True, exist_ok=True)
+        # One connection shared by all threads of this process, guarded
+        # by an RLock (sqlite3 objects are not thread-safe by default);
+        # cross-process writers are serialized by SQLite itself.
+        self._lock = threading.RLock()
+        self._conn = sqlite3.connect(
+            ":memory:" if self.db_path is None else str(self.db_path),
+            check_same_thread=False,
+        )
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+        with self._lock, self._conn:
+            self._conn.execute(_SCHEMA)
 
     @property
     def cache_dir(self) -> str | None:
         """The queue's shared on-disk solve cache directory, if durable."""
-        return None
+        return None if self.root is None else str(self.root / "cache")
 
     def close(self) -> None:
-        """Release backend resources (connections, fds).  Idempotent."""
-
-
-class MemoryJobStore(JobStore):
-    """In-process store: a dict behind a lock.
-
-    Supports multi-threaded workers (the HTTP front end executes jobs on
-    threads) but naturally not multi-process ones -- that is what the
-    durable backends are for.
-    """
-
-    def __init__(self) -> None:
-        self._jobs: dict[str, Job] = {}
-        self._lock = threading.Lock()
-
-    def insert(self, job: Job) -> None:
+        """Release the connection.  Idempotent."""
         with self._lock:
-            if job.job_id in self._jobs:
-                raise ValueError(f"job {job.job_id} already exists")
-            self._jobs[job.job_id] = job
-
-    def read(self, job_id: str) -> Job:
-        with self._lock:
-            try:
-                return self._jobs[job_id]
-            except KeyError:
-                raise UnknownJobError(job_id) from None
-
-    def replace(self, job: Job, expected_version: int) -> None:
-        with self._lock:
-            current = self._jobs.get(job.job_id)
-            if current is None:
-                raise UnknownJobError(job.job_id)
-            if current.version != expected_version:
-                raise StaleJobError(
-                    f"job {job.job_id}: update based on version "
-                    f"{expected_version}, stored is {current.version}"
-                )
-            self._jobs[job.job_id] = job
-
-    def scan(self) -> list[Job]:
-        with self._lock:
-            return list(self._jobs.values())
-
-    def remove(self, job_id: str) -> None:
-        with self._lock:
-            if self._jobs.pop(job_id, None) is None:
-                raise UnknownJobError(job_id)
-
-
-class FileJobStore(JobStore):
-    """On-disk store: one atomic JSON document per job.
-
-    Layout under ``root``::
-
-        root/jobs/<job_id>.json   the job record
-        root/jobs/<job_id>.lock   short-lived read-modify-write lock
-        root/cache/               the queue's shared solve cache
-                                  (see JobService.cache_dir)
-
-    Durability model: records are written with the ``tmp.<pid>`` +
-    ``os.replace`` idiom, so readers always see a complete document.
-    Locks only serialize the read-modify-write window; acquisition backs
-    off exponentially with jitter and gives up with
-    :class:`LockContentionError` after ``lock_acquire_timeout_ms``; a
-    lock file left behind by a killed process is broken once older than
-    ``lock_timeout_ms``.
-    """
-
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        lock_timeout_ms: float = 5_000.0,
-        lock_acquire_timeout_ms: float = 30_000.0,
-    ):
-        self.root = Path(root)
-        self.jobs_dir = self.root / "jobs"
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        if lock_timeout_ms <= 0:
-            raise ValueError(
-                f"lock_timeout_ms must be positive, got {lock_timeout_ms}"
-            )
-        if lock_acquire_timeout_ms <= 0:
-            raise ValueError(
-                "lock_acquire_timeout_ms must be positive, got "
-                f"{lock_acquire_timeout_ms}"
-            )
-        self.lock_timeout_ms = float(lock_timeout_ms)
-        self.lock_acquire_timeout_ms = float(lock_acquire_timeout_ms)
-
-    @property
-    def cache_dir(self) -> str:
-        return str(self.root / "cache")
+            self._conn.close()
 
     # ------------------------------------------------------------------
-    # Record I/O
+    # Fault hooks shared by the write statements
     # ------------------------------------------------------------------
-    def _path(self, job_id: str) -> Path:
-        return self.jobs_dir / f"{job_id}.json"
-
-    def _read(self, path: Path) -> Job:
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise UnknownJobError(path.stem) from None
-        return Job.from_dict(payload)
-
-    def _write(self, job: Job) -> None:
-        path = self._path(job.job_id)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    @staticmethod
+    def _pre_write_faults() -> None:
+        """Fires ``disk_full`` before any byte lands."""
         if _fault_fire("disk_full"):
             raise OSError(
-                errno.ENOSPC, "No space left on device (injected)", str(tmp)
+                errno.ENOSPC, "database or disk is full (injected)"
             )
-        tmp.write_text(json.dumps(job.as_dict(), indent=2) + "\n")
+
+    @staticmethod
+    def _in_transaction_faults(job_id: str) -> None:
+        """Fires ``torn_write`` inside the open transaction.
+
+        The ``with conn`` block rolls the statement back, so the durable
+        record keeps its pre-transaction value -- exactly what a SIGKILL
+        before the commit leaves behind.
+        """
         if _fault_fire("torn_write"):
-            # Simulated death between the tmp write and the replace: the
-            # durable record keeps its old value, the tmp file is the
-            # only debris -- exactly what a SIGKILL here leaves behind.
             raise InjectedKill(
-                f"torn_write: killed before os.replace of {path.name}"
+                f"torn_write: killed inside transaction for job {job_id}"
             )
-        os.replace(tmp, path)
 
     # ------------------------------------------------------------------
-    # Per-job RMW lock
-    # ------------------------------------------------------------------
-    def _lock_path(self, job_id: str) -> Path:
-        return self.jobs_dir / f"{job_id}.lock"
-
-    def _acquire_lock(self, job_id: str) -> bool:
-        lock = self._lock_path(job_id)
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            # Break locks orphaned by a kill inside the RMW window.
-            try:
-                age_ms = now_ms() - lock.stat().st_mtime * 1000.0
-            except FileNotFoundError:
-                return False  # holder just released; retry next attempt
-            if age_ms > self.lock_timeout_ms:
-                try:
-                    lock.unlink()
-                except FileNotFoundError:
-                    pass
-            return False
-        with os.fdopen(fd, "w") as handle:
-            handle.write(f"{os.getpid()}\n")
-        return True
-
-    def _release_lock(self, job_id: str) -> None:
-        if _fault_fire("lock_orphan"):
-            return  # holder "died" before unlinking; broken by age later
-        try:
-            self._lock_path(job_id).unlink()
-        except FileNotFoundError:
-            pass
-
-    def _with_lock(self, job_id: str) -> _JobLock:
-        """Context manager: acquire the RMW lock with backoff + timeout."""
-        return _JobLock(self, job_id, self.lock_acquire_timeout_ms)
-
-    # ------------------------------------------------------------------
-    # JobStore API
+    # The five primitives
     # ------------------------------------------------------------------
     def insert(self, job: Job) -> None:
-        path = self._path(job.job_id)
-        if path.exists():
-            raise ValueError(f"job {job.job_id} already exists")
-        self._write(job)
+        """Store a fresh record; raises ``ValueError`` if the id exists."""
+        self._pre_write_faults()
+        try:
+            with self._lock, self._conn:
+                self._conn.execute(
+                    "INSERT INTO jobs (job_id, version, state, created_ms, payload) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (
+                        job.job_id,
+                        job.version,
+                        job.state,
+                        job.created_ms,
+                        json.dumps(job.as_dict()),
+                    ),
+                )
+                self._in_transaction_faults(job.job_id)
+        except sqlite3.IntegrityError:
+            raise ValueError(f"job {job.job_id} already exists") from None
 
     def read(self, job_id: str) -> Job:
-        return self._read(self._path(job_id))
+        """The current stored copy; raises :class:`UnknownJobError`."""
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT payload FROM jobs WHERE job_id = ?", (job_id,)
+            ).fetchone()
+        if row is None:
+            raise UnknownJobError(job_id)
+        return Job.from_dict(json.loads(row[0]))
 
     def replace(self, job: Job, expected_version: int) -> None:
-        with self._with_lock(job.job_id):
-            current = self.read(job.job_id)
-            if current.version != expected_version:
+        """Atomic CAS: store ``job`` iff the stored version equals
+        ``expected_version``; raises :class:`StaleJobError` on a
+        mismatch and :class:`UnknownJobError` for a vanished job."""
+        self._pre_write_faults()
+        with self._lock, self._conn:
+            cursor = self._conn.execute(
+                "UPDATE jobs SET version = ?, state = ?, payload = ? "
+                "WHERE job_id = ? AND version = ?",
+                (
+                    job.version,
+                    job.state,
+                    json.dumps(job.as_dict()),
+                    job.job_id,
+                    expected_version,
+                ),
+            )
+            self._in_transaction_faults(job.job_id)
+            if cursor.rowcount == 0:
+                # Lost the CAS: distinguish a vanished job from a stale
+                # copy inside the same transaction for a coherent error.
+                row = self._conn.execute(
+                    "SELECT version FROM jobs WHERE job_id = ?",
+                    (job.job_id,),
+                ).fetchone()
+                if row is None:
+                    raise UnknownJobError(job.job_id)
                 raise StaleJobError(
                     f"job {job.job_id}: update based on version "
-                    f"{expected_version}, stored is {current.version}"
+                    f"{expected_version}, stored is {row[0]}"
                 )
-            self._write(job)
 
     def scan(self) -> list[Job]:
-        jobs = []
-        for path in self.jobs_dir.glob("*.json"):
-            try:
-                jobs.append(self._read(path))
-            except UnknownJobError:
-                continue  # deleted between glob and read
-        return jobs
+        """Every stored record (order unspecified; the repository sorts)."""
+        with self._lock:
+            rows = self._conn.execute("SELECT payload FROM jobs").fetchall()
+        return [Job.from_dict(json.loads(row[0])) for row in rows]
 
     def remove(self, job_id: str) -> None:
-        try:
-            self._path(job_id).unlink()
-        except FileNotFoundError:
-            raise UnknownJobError(job_id) from None
-        self._release_lock(job_id)
-
-
-class _JobLock:
-    """``with``-style wrapper around the store's per-job RMW lock.
-
-    Acquisition retries with jittered exponential backoff (2 ms doubling
-    to a 100 ms cap, each wait scaled by a uniform jitter so colliding
-    claimants desynchronize) under an overall deadline; exceeding it
-    raises :class:`LockContentionError` instead of hanging the caller.
-    """
-
-    def __init__(self, store: FileJobStore, job_id: str, acquire_timeout_ms: float):
-        self.store = store
-        self.job_id = job_id
-        self.acquire_timeout_ms = acquire_timeout_ms
-
-    def __enter__(self) -> None:
-        deadline_ms = now_ms() + self.acquire_timeout_ms
-        delay_ms = 2.0
-        while True:
-            if self.store._acquire_lock(self.job_id):
-                return
-            remaining_ms = deadline_ms - now_ms()
-            if remaining_ms <= 0:
-                raise LockContentionError(
-                    f"could not lock job {self.job_id} within "
-                    f"{self.acquire_timeout_ms:g} ms; a dead holder is "
-                    f"broken after {self.store.lock_timeout_ms:g} ms, so "
-                    "persistent contention means live writers are racing"
-                )
-            # Full jitter: sleep U(0.5, 1) * delay, capped by the deadline.
-            sleep_ms = min(delay_ms * random.uniform(0.5, 1.0), remaining_ms)
-            time.sleep(sleep_ms / 1000.0)
-            delay_ms = min(delay_ms * 2.0, 100.0)
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None and issubclass(exc_type, InjectedKill):
-            return  # simulated death: the lock stays orphaned, broken by age
-        self.store._release_lock(self.job_id)
+        """Remove a record; raises :class:`UnknownJobError`."""
+        self._pre_write_faults()
+        with self._lock, self._conn:
+            cursor = self._conn.execute(
+                "DELETE FROM jobs WHERE job_id = ?", (job_id,)
+            )
+            if cursor.rowcount == 0:
+                raise UnknownJobError(job_id)

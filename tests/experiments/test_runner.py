@@ -126,9 +126,9 @@ class TestViaJobs:
         assert main(["fig2", "--via-jobs", queue]) == 0
         assert capsys.readouterr().out == first
         # The rerun reused the COMPLETED job instead of submitting a new one.
-        from repro.jobs import FileJobRepository
+        from repro.jobs import open_repository
 
-        assert len(FileJobRepository(queue).list_jobs()) == 1
+        assert len(open_repository(queue).list_jobs()) == 1
 
     def test_via_jobs_rejects_resume(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -147,7 +147,7 @@ class TestSweepMany:
 class TestLoadSweep:
     """The utilization-sweep shape load_sweep_series used to provide.
 
-    The deprecated wrapper is gone (RL010); these pin the replacement
+    The deprecated wrapper is gone; these pin the replacement
     spelling -- ``sweep_many`` over ``utilization_axis`` -- to the same
     behavior the wrapper had.
     """

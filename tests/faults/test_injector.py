@@ -144,7 +144,7 @@ class TestParamPayload:
         assert issubclass(InjectedKill, BaseException)
 
     def test_repository_fault_points_are_known(self):
-        for point in ("torn_write", "disk_full", "clock_skew", "lock_orphan"):
+        for point in ("torn_write", "disk_full", "clock_skew"):
             assert point in faults.KNOWN_FAULT_POINTS
 
 

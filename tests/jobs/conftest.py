@@ -16,7 +16,7 @@ from repro.core import FgBgModel
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.result import ExperimentResult
 from repro.experiments.sweeps import sweep, utilization_axis
-from repro.jobs import JobService, JobWorker, MemoryJobRepository
+from repro.jobs import JobRepository, JobService, JobWorker
 from repro.processes import PoissonProcess
 from repro.workloads import SERVICE_RATE_PER_MS
 
@@ -49,7 +49,10 @@ def tiny_figure(monkeypatch):
 
 @pytest.fixture
 def memory_repo():
-    return MemoryJobRepository()
+    """A private queue on SQLite ``:memory:``."""
+    repo = JobRepository()
+    yield repo
+    repo.close()
 
 
 @pytest.fixture

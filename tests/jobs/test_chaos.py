@@ -59,6 +59,7 @@ class TestWorkerKill:
         self, queue_dir
     ):
         job_id = cli(queue_dir, "submit", "fig2").stdout.strip()
+        assert (Path(queue_dir) / "jobs.sqlite3").exists()
 
         # Worker 1 claims the job and is SIGKILLed at the execute hook.
         killed = cli(
@@ -117,30 +118,6 @@ class TestMidSweepKill:
         assert result == execute_figure("fig9") + "\n"
 
 
-class TestSqliteBackendChaos:
-    def test_killed_worker_recovers_on_the_sqlite_backend(self, queue_dir):
-        """The same kill/sweep/requeue contract, on the SQLite store."""
-        job_id = cli(
-            queue_dir, "--backend", "sqlite", "submit", "fig2"
-        ).stdout.strip()
-        assert (Path(queue_dir) / "jobs.sqlite3").exists()
-
-        # --backend auto (the default) must find the SQLite queue.
-        killed = cli(
-            queue_dir, "worker", faults="worker_kill:limit=1", check=False
-        )
-        assert killed.returncode == -9
-        assert status(queue_dir, job_id)["state"] == "running"
-
-        swept = cli(queue_dir, "sweep").stdout
-        assert job_id in swept
-
-        cli(queue_dir, "worker")
-        assert status(queue_dir, job_id)["state"] == "completed"
-        result = cli(queue_dir, "result", job_id).stdout
-        assert result == execute_figure("fig2") + "\n"
-
-
 def experiments_cli(*args, faults=None, check=True):
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("REPRO_FAULTS", None)
@@ -159,18 +136,11 @@ def experiments_cli(*args, faults=None, check=True):
 
 
 class TestViaJobsByteIdentity:
-    @pytest.mark.parametrize("backend", ["file", "sqlite"])
-    def test_via_jobs_survives_a_mid_sweep_kill_byte_identical(
-        self, queue_dir, backend
-    ):
+    def test_via_jobs_survives_a_mid_sweep_kill_byte_identical(self, queue_dir):
         """The soak acceptance scenario, end to end through the public
         CLI: ``--via-jobs`` fig9 with the worker killed mid-sweep, the
         orphan swept and re-run, and the final output byte-identical to
-        a blocking run -- on both durable backends."""
-        # Materialize the queue in the requested backend; the
-        # experiments CLI then auto-detects it.
-        cli(queue_dir, "--backend", backend, "list")
-
+        a blocking run."""
         killed = experiments_cli(
             "fig9",
             "--via-jobs",

@@ -96,21 +96,20 @@ class TestRoundTrip:
 
 class TestBackendSelection:
     def test_sqlite_round_trip(self, queue_dir):
-        job_id = cli(
-            queue_dir, "--backend", "sqlite", "submit", "fig2"
-        ).stdout.strip()
+        job_id = cli(queue_dir, "submit", "fig2").stdout.strip()
         assert (Path(queue_dir) / "jobs.sqlite3").exists()
-        # auto re-opens the sqlite backend without being told.
         cli(queue_dir, "worker")
         result = cli(queue_dir, "result", job_id).stdout
         assert result == execute_figure("fig2") + "\n"
 
-    def test_auto_keeps_using_the_file_backend(self, queue_dir):
-        cli(queue_dir, "submit", "fig2")
+    def test_legacy_json_dir_queue_is_refused(self, queue_dir):
+        legacy = Path(queue_dir) / "jobs"
+        legacy.mkdir(parents=True)
+        result = cli(queue_dir, "list", check=False)
+        assert result.returncode == 2
+        assert str(legacy) in result.stderr
+        assert "previous release" in result.stderr
         assert not (Path(queue_dir) / "jobs.sqlite3").exists()
-        assert (Path(queue_dir) / "jobs").is_dir()
-        listing = cli(queue_dir, "--backend", "auto", "list").stdout
-        assert "fig2" in listing
 
 
 class TestQuarantineCommands:

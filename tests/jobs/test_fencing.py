@@ -3,9 +3,9 @@
 The regression the tentpole demands: a worker requeued by the sweeper
 (presumed dead) that later wakes up holds a provably stale lease --
 every write it attempts (heartbeat, progress, result, terminal
-transition) must be rejected with ``StaleJobError``, on every backend,
-and the worker-side preemption check must stand down even when the new
-owker reuses the zombie's worker id (pid reuse).
+transition) must be rejected with ``StaleJobError``, in memory and on
+disk, and the worker-side preemption check must stand down even when the
+new owner reuses the zombie's worker id (pid reuse).
 """
 
 import pytest
@@ -13,24 +13,21 @@ import pytest
 from repro.jobs import (
     COMPLETED,
     RUNNING,
-    FileJobRepository,
+    JobRepository,
     JobSpec,
     JobWorker,
-    MemoryJobRepository,
-    SqliteJobRepository,
     StaleJobError,
 )
 from repro.jobs.lifecycle import Job
 from repro.jobs.repository import now_ms
 
 
-@pytest.fixture(params=["memory", "file", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite"])
 def repo(request, tmp_path):
-    if request.param == "memory":
-        return MemoryJobRepository()
-    if request.param == "sqlite":
-        return SqliteJobRepository(tmp_path / "queue")
-    return FileJobRepository(tmp_path / "queue")
+    """The job store on SQLite ``:memory:`` and on disk."""
+    repo = JobRepository(None if request.param == "memory" else tmp_path / "queue")
+    yield repo
+    repo.close()
 
 
 def zombie_scenario(repo):

@@ -1,32 +1,24 @@
-"""Repository contract tests, run against both implementations."""
-
-import json
-import os
+"""Repository contract tests, on SQLite ``:memory:`` and on disk."""
 
 import pytest
 
 from repro.jobs import (
-    FileJobRepository,
     Job,
+    JobRepository,
     JobSpec,
-    LockContentionError,
-    MemoryJobRepository,
     PENDING,
     RUNNING,
-    SqliteJobRepository,
     StaleJobError,
     UnknownJobError,
 )
 from repro.jobs.repository import now_ms, open_repository
 
 
-@pytest.fixture(params=["memory", "file", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite"])
 def repo(request, tmp_path):
-    if request.param == "memory":
-        return MemoryJobRepository()
-    if request.param == "sqlite":
-        return SqliteJobRepository(tmp_path / "queue")
-    return FileJobRepository(tmp_path / "queue")
+    repo = JobRepository(None if request.param == "memory" else tmp_path / "queue")
+    yield repo
+    repo.close()
 
 
 def submit(repo, figure="fig2", created_ms=None) -> Job:
@@ -100,88 +92,6 @@ class TestContract:
             repo.delete(job.job_id)
 
 
-class TestFileRepository:
-    def test_record_is_valid_json_on_disk(self, tmp_path):
-        repo = FileJobRepository(tmp_path / "q")
-        job = submit(repo)
-        path = repo.jobs_dir / f"{job.job_id}.json"
-        payload = json.loads(path.read_text())
-        assert Job.from_dict(payload) == job
-
-    def test_no_tmp_files_left_behind(self, tmp_path):
-        repo = FileJobRepository(tmp_path / "q")
-        job = submit(repo)
-        repo.update(job.claimed("w@h", now_ms()))
-        leftovers = [p.name for p in repo.jobs_dir.iterdir() if ".tmp." in p.name]
-        assert leftovers == []
-
-    def test_no_lock_held_after_update(self, tmp_path):
-        repo = FileJobRepository(tmp_path / "q")
-        job = submit(repo)
-        repo.update(job.claimed("w@h", now_ms()))
-        assert not (repo.jobs_dir / f"{job.job_id}.lock").exists()
-
-    def test_orphaned_lock_is_broken_by_age(self, tmp_path):
-        repo = FileJobRepository(tmp_path / "q", lock_timeout_ms=50.0)
-        job = submit(repo)
-        lock = repo.jobs_dir / f"{job.job_id}.lock"
-        lock.write_text("dead-holder\n")
-        stale = (now_ms() - 10_000.0) / 1000.0
-        os.utime(lock, (stale, stale))
-        # The update must break the dead holder's lock and proceed.
-        updated = repo.update(job.claimed("w@h", now_ms()))
-        assert updated.state == RUNNING
-        assert not lock.exists()
-
-    def test_two_handles_share_state(self, tmp_path):
-        writer = FileJobRepository(tmp_path / "q")
-        reader = FileJobRepository(tmp_path / "q")
-        job = submit(writer)
-        assert reader.get(job.job_id) == job
-        writer.update(job.claimed("w@h", now_ms()))
-        assert reader.get(job.job_id).state == RUNNING
-
-    def test_cache_dir_is_inside_the_queue(self, tmp_path):
-        repo = FileJobRepository(tmp_path / "q")
-        assert repo.cache_dir == str(tmp_path / "q" / "cache")
-
-    def test_invalid_lock_timeout_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="lock_timeout_ms"):
-            FileJobRepository(tmp_path / "q", lock_timeout_ms=0)
-
-    def test_contended_lock_raises_typed_timeout(self, tmp_path):
-        """A held lock must surface LockContentionError, not hang the CLI."""
-        repo = FileJobRepository(
-            tmp_path / "q",
-            lock_timeout_ms=60_000.0,  # holder is not presumed dead
-            lock_acquire_timeout_ms=150.0,
-        )
-        job = submit(repo)
-        (repo.jobs_dir / f"{job.job_id}.lock").write_text("live-holder\n")
-        with pytest.raises(LockContentionError, match="could not lock"):
-            repo.update(job.claimed("w@h", now_ms()))
-        # Typed as a TimeoutError so claim loops keep skipping contended
-        # candidates.
-        assert issubclass(LockContentionError, TimeoutError)
-
-    def test_contended_claim_skips_to_next_candidate(self, tmp_path):
-        repo = FileJobRepository(
-            tmp_path / "q",
-            lock_timeout_ms=60_000.0,
-            lock_acquire_timeout_ms=100.0,
-        )
-        blocked = submit(repo, created_ms=1_000.0)
-        free = submit(repo, created_ms=2_000.0)
-        (repo.jobs_dir / f"{blocked.job_id}.lock").write_text("live-holder\n")
-        claimed = repo.claim("w@h", now_ms())
-        assert claimed is not None
-        assert claimed.job_id == free.job_id
-
-    def test_invalid_acquire_timeout_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="lock_acquire_timeout_ms"):
-            FileJobRepository(tmp_path / "q", lock_acquire_timeout_ms=-1.0)
-
-
 class TestClaimStampsEpoch:
     def test_each_claim_bumps_the_fencing_epoch(self, repo):
         job = submit(repo)
@@ -200,52 +110,54 @@ class TestClaimStampsEpoch:
 
 class TestSqliteRepository:
     def test_records_live_in_one_database(self, tmp_path):
-        repo = SqliteJobRepository(tmp_path / "q")
+        repo = JobRepository(tmp_path / "q")
         job = submit(repo)
-        assert repo.db_path.exists()
+        assert repo.store.db_path.exists()
         assert repo.get(job.job_id) == job
 
     def test_two_handles_share_state(self, tmp_path):
-        writer = SqliteJobRepository(tmp_path / "q")
-        reader = SqliteJobRepository(tmp_path / "q")
+        writer = JobRepository(tmp_path / "q")
+        reader = JobRepository(tmp_path / "q")
         job = submit(writer)
         assert reader.get(job.job_id) == job
         writer.update(job.claimed("w@h", now_ms()))
         assert reader.get(job.job_id).state == RUNNING
 
     def test_cache_dir_is_inside_the_queue(self, tmp_path):
-        repo = SqliteJobRepository(tmp_path / "q")
+        repo = JobRepository(tmp_path / "q")
         assert repo.cache_dir == str(tmp_path / "q" / "cache")
 
-    def test_invalid_busy_timeout_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="busy_timeout_ms"):
-            SqliteJobRepository(tmp_path / "q", busy_timeout_ms=0)
+    def test_memory_queue_has_no_disk_footprint(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        repo = JobRepository()
+        submit(repo)
+        assert repo.cache_dir is None
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOpenRepository:
-    def test_fresh_root_defaults_to_file_backend(self, tmp_path):
-        repo = open_repository(tmp_path / "q")
-        assert isinstance(repo, FileJobRepository)
-
     def test_auto_reopens_an_existing_sqlite_queue(self, tmp_path):
-        job = submit(SqliteJobRepository(tmp_path / "q"))
+        job = submit(JobRepository(tmp_path / "q"))
         repo = open_repository(tmp_path / "q")
-        assert isinstance(repo, SqliteJobRepository)
         assert repo.get(job.job_id) == job
 
-    def test_auto_reopens_an_existing_file_queue(self, tmp_path):
-        job = submit(FileJobRepository(tmp_path / "q"))
-        repo = open_repository(tmp_path / "q")
-        assert isinstance(repo, FileJobRepository)
-        assert repo.get(job.job_id) == job
+    def test_fresh_root_is_created(self, tmp_path):
+        repo = open_repository(tmp_path / "a" / "q")
+        assert repo.store.db_path == tmp_path / "a" / "q" / "jobs.sqlite3"
+        assert repo.store.db_path.exists()
 
-    def test_explicit_backends(self, tmp_path):
-        assert isinstance(
-            open_repository(tmp_path / "a", backend="sqlite"),
-            SqliteJobRepository,
-        )
-        assert isinstance(
-            open_repository(tmp_path / "b", backend="file"), FileJobRepository
-        )
-        with pytest.raises(ValueError, match="unknown job-store backend"):
-            open_repository(tmp_path / "c", backend="postgres")
+    def test_legacy_json_dir_queue_is_refused(self, tmp_path):
+        """A queue the JSON-dir store wrote must not be shadowed by a
+        fresh, empty SQLite queue next to it."""
+        legacy = tmp_path / "q" / "jobs"
+        legacy.mkdir(parents=True)
+        (legacy / "0123.json").write_text("{}\n")
+        with pytest.raises(ValueError, match="previous release") as excinfo:
+            open_repository(tmp_path / "q")
+        assert str(legacy) in str(excinfo.value)
+        assert not (tmp_path / "q" / "jobs.sqlite3").exists()
+
+    def test_jobs_dir_next_to_a_database_is_ignored(self, tmp_path):
+        job = submit(JobRepository(tmp_path / "q"))
+        (tmp_path / "q" / "jobs").mkdir()
+        assert open_repository(tmp_path / "q").get(job.job_id) == job

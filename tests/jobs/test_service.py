@@ -5,9 +5,9 @@ import pytest
 from repro.engine import EngineConfig
 from repro.jobs import (
     COMPLETED,
-    FileJobRepository,
     JobNotFinished,
     JobService,
+    open_repository,
 )
 
 
@@ -23,12 +23,12 @@ class TestSubmit:
         assert job.spec.engine == EngineConfig()
 
     def test_file_repo_wires_the_shared_cache(self, tmp_path, tiny_figure):
-        repo = FileJobRepository(tmp_path / "q")
+        repo = open_repository(tmp_path / "q")
         job = JobService(repo).submit_figure(tiny_figure)
         assert job.spec.engine.cache_dir == repo.cache_dir
 
     def test_explicit_cache_config_wins(self, tmp_path, tiny_figure):
-        repo = FileJobRepository(tmp_path / "q")
+        repo = open_repository(tmp_path / "q")
         job = JobService(repo).submit_figure(
             tiny_figure, config=EngineConfig(cache_dir=str(tmp_path / "mine"))
         )

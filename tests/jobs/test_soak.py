@@ -2,22 +2,17 @@
 
 Each soak iteration replays a randomized-but-deterministic interleaving
 of submitters, workers, the sweeper and waking zombies against a real
-repository backend (see :mod:`repro.jobs.soak`), auditing the safety
+on-disk repository (see :mod:`repro.jobs.soak`), auditing the safety
 invariants after every action.  ``REPRO_SOAK_ITERATIONS`` scales the
-iteration count (the CI ``jobs-soak`` job raises it so the two durable
-backends together exceed 200 iterations); the default keeps the regular
-suite quick.
+iteration count (the CI ``jobs-soak`` job raises it to 240); the default
+keeps the regular suite quick.
 
 The via-jobs byte-identity leg lives with the other subprocess chaos
 tests in ``test_chaos.py`` -- killing a worker needs a process to kill.
 """
 
-import pytest
-
 from repro._env import repro_env
 from repro.jobs.soak import SoakHarness, soak
-
-DURABLE_BACKENDS = ("file", "sqlite")
 
 
 def iterations(default: int = 8) -> int:
@@ -25,12 +20,9 @@ def iterations(default: int = 8) -> int:
     return int(raw) if raw else default
 
 
-@pytest.mark.parametrize("backend", DURABLE_BACKENDS)
 class TestChaosSoak:
-    def test_no_invariant_violated_under_chaos(self, tmp_path, backend):
-        report = soak(
-            tmp_path, backend=backend, iterations=iterations(), seed=2006
-        )
+    def test_no_invariant_violated_under_chaos(self, tmp_path):
+        report = soak(tmp_path, iterations=iterations(), seed=2006)
         assert report.violations == (), "\n".join(report.violations)
         # The run must have been an actual storm, not a calm pass.
         assert report.kills_injected > 0
@@ -44,10 +36,8 @@ class TestChaosSoak:
             + report.quarantined
         )
 
-    def test_every_zombie_write_is_rejected(self, tmp_path, backend):
-        report = soak(
-            tmp_path, backend=backend, iterations=iterations(), seed=77
-        )
+    def test_every_zombie_write_is_rejected(self, tmp_path):
+        report = soak(tmp_path, iterations=iterations(), seed=77)
         assert report.violations == (), "\n".join(report.violations)
         assert report.zombie_writes_attempted > 0
         assert (
@@ -57,50 +47,43 @@ class TestChaosSoak:
 
 class TestDeterminism:
     def test_same_seed_same_report(self, tmp_path):
-        a = soak(tmp_path / "a", backend="memory", iterations=4, seed=9)
-        b = soak(tmp_path / "b", backend="memory", iterations=4, seed=9)
+        a = soak(tmp_path / "a", iterations=4, seed=9)
+        b = soak(tmp_path / "b", iterations=4, seed=9)
         assert a == b
 
     def test_summary_reads_ok_when_clean(self, tmp_path):
-        report = soak(tmp_path, backend="memory", iterations=2, seed=1)
+        report = soak(tmp_path, iterations=2, seed=1)
         assert "OK" in report.summary()
-        assert "memory" in report.summary()
+        assert "seed=1" in report.summary()
 
 
 class TestHarnessIsNotVacuous:
     def test_broken_cas_is_detected(self, tmp_path, monkeypatch):
-        """Sabotage the memory store's compare-and-swap; the soak must
-        light up (accepted zombie writes, mutated terminal records, ...)
-        rather than pass vacuously."""
-        import dataclasses
+        """Sabotage the store's compare-and-swap; the soak must light up
+        (accepted zombie writes, mutated terminal records, ...) rather
+        than pass vacuously."""
+        import json
 
-        from repro.jobs import store as store_mod
+        from repro.jobs.store import SqliteJobStore
 
         def last_writer_wins(self, job, expected_version):
-            with self._lock:
-                current = self._jobs.get(job.job_id)
-                version = (current.version if current else 0) + 1
-                stored = dataclasses.replace(job, version=version)
-                self._jobs[job.job_id] = stored
-                return stored
+            with self._lock, self._conn:
+                self._conn.execute(
+                    "UPDATE jobs SET version = version + 1, state = ?, "
+                    "payload = ? WHERE job_id = ?",
+                    (job.state, json.dumps(job.as_dict()), job.job_id),
+                )
 
-        monkeypatch.setattr(
-            store_mod.MemoryJobStore, "replace", last_writer_wins
-        )
-        report = soak(tmp_path, backend="memory", iterations=10, seed=42)
+        monkeypatch.setattr(SqliteJobStore, "replace", last_writer_wins)
+        report = soak(tmp_path, iterations=10, seed=42)
         assert report.violations
         assert any("zombie write accepted" in v for v in report.violations)
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown job-store backend"):
-            soak(tmp_path, backend="postgres", iterations=1)
 
 
 class TestHarnessKnobs:
     def test_kill_rate_zero_completes_everything(self, tmp_path):
         report = soak(
             tmp_path,
-            backend="memory",
             iterations=3,
             seed=5,
             kill_rate=0.0,
@@ -117,7 +100,6 @@ class TestHarnessKnobs:
         QUARANTINED (the breaker trips before the retry budget cycles)."""
         report = soak(
             tmp_path,
-            backend="memory",
             iterations=2,
             seed=3,
             kill_rate=1.0,
@@ -130,11 +112,11 @@ class TestHarnessKnobs:
 
     def test_harness_runs_directly(self, tmp_path):
         """SoakHarness is usable standalone for debugging one seed."""
-        from repro.jobs.repository import MemoryJobRepository
+        from repro.jobs.repository import JobRepository
         from repro.jobs.soak import _Tally
 
         tally = _Tally()
-        harness = SoakHarness(MemoryJobRepository(), seed=123, tally=tally)
+        harness = SoakHarness(JobRepository(), seed=123, tally=tally)
         harness.run()
         assert tally.jobs_submitted == 3
         assert tally.violations == []

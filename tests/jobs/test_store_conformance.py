@@ -1,49 +1,28 @@
-"""The shared :class:`JobStore` conformance suite.
+"""Conformance suite of the job store's five primitives.
 
-Every backend -- memory, JSON-dir, SQLite -- must satisfy the same five
-primitives with the same semantics (atomic insert, read, CAS replace,
-scan, remove), because the whole queue protocol (claims, fencing,
-requeues) is built generically on top of them.  The durable backends
-additionally face the crash-consistency cases: an injected ``torn_write``
-or ``disk_full`` must leave the old record intact and readable.
+The whole queue protocol (claims, fencing, requeues) is built on
+atomic insert, read, CAS replace, scan and remove, so each is checked
+on SQLite ``:memory:`` and on disk, together with the crash-consistency
+cases: an injected ``torn_write`` or ``disk_full`` must leave the old
+record intact and readable.
 """
 
 import pytest
 
 from repro.faults import InjectedKill, inject, reset as faults_reset
 from repro.jobs import (
-    FileJobStore,
     Job,
     JobSpec,
-    MemoryJobStore,
     SqliteJobStore,
     StaleJobError,
     UnknownJobError,
 )
 from repro.jobs.repository import now_ms
 
-BACKENDS = ("memory", "file", "sqlite")
-DURABLE_BACKENDS = ("file", "sqlite")
 
-
-def make_store(kind, tmp_path):
-    if kind == "memory":
-        return MemoryJobStore()
-    if kind == "file":
-        return FileJobStore(tmp_path / "queue")
-    return SqliteJobStore(tmp_path / "queue")
-
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
-    store = make_store(request.param, tmp_path)
-    yield store
-    store.close()
-
-
-@pytest.fixture(params=DURABLE_BACKENDS)
-def durable_store(request, tmp_path):
-    store = make_store(request.param, tmp_path)
+    store = SqliteJobStore(None if request.param == "memory" else tmp_path / "queue")
     yield store
     store.close()
 
@@ -135,53 +114,58 @@ class TestCompareAndSwap:
 
 
 class TestDurability:
-    def test_records_survive_reopening(self, durable_store, tmp_path):
+    def test_records_survive_reopening(self, tmp_path):
         job = fresh()
-        durable_store.insert(job)
-        durable_store.close()
-        reopened = type(durable_store)(tmp_path / "queue")
+        store = SqliteJobStore(tmp_path / "queue")
+        store.insert(job)
+        store.close()
+        reopened = SqliteJobStore(tmp_path / "queue")
         try:
             assert reopened.read(job.job_id) == job
         finally:
             reopened.close()
 
-    def test_torn_write_preserves_the_old_record(self, durable_store):
+    def test_torn_write_preserves_the_old_record(self, store):
         """A simulated death mid-write must leave the previous value."""
         from dataclasses import replace as _replace
 
         job = fresh()
-        durable_store.insert(job)
+        store.insert(job)
         evolved = _replace(job.claimed("w@h", now_ms(), epoch=1), version=1)
         with inject("torn_write"):
             with pytest.raises(InjectedKill):
-                durable_store.replace(evolved, expected_version=0)
+                store.replace(evolved, expected_version=0)
         faults_reset()
-        stored = durable_store.read(job.job_id)
+        stored = store.read(job.job_id)
         assert stored.version == 0
         assert stored.state == job.state
 
-    def test_disk_full_raises_enospc_and_preserves_record(self, durable_store):
+    def test_disk_full_raises_enospc_and_preserves_record(self, store):
         import errno
         from dataclasses import replace as _replace
 
         job = fresh()
-        durable_store.insert(job)
+        store.insert(job)
         evolved = _replace(job.claimed("w@h", now_ms(), epoch=1), version=1)
         with inject("disk_full"):
             with pytest.raises(OSError) as excinfo:
-                durable_store.replace(evolved, expected_version=0)
+                store.replace(evolved, expected_version=0)
         assert excinfo.value.errno == errno.ENOSPC
         faults_reset()
-        assert durable_store.read(job.job_id).version == 0
+        assert store.read(job.job_id).version == 0
 
-    def test_torn_insert_leaves_no_record(self, durable_store):
+    def test_torn_insert_leaves_no_record(self, store):
         job = fresh()
         with inject("torn_write"):
             with pytest.raises(InjectedKill):
-                durable_store.insert(job)
+                store.insert(job)
         faults_reset()
         with pytest.raises(UnknownJobError):
-            durable_store.read(job.job_id)
+            store.read(job.job_id)
 
-    def test_cache_dir_is_stable(self, durable_store, tmp_path):
-        assert durable_store.cache_dir == str(tmp_path / "queue" / "cache")
+    def test_cache_dir_is_stable(self, tmp_path):
+        store = SqliteJobStore(tmp_path / "queue")
+        try:
+            assert store.cache_dir == str(tmp_path / "queue" / "cache")
+        finally:
+            store.close()

@@ -1,6 +1,6 @@
 """Property-based tests of job-store optimistic concurrency.
 
-Two layers, both run against every backend:
+Two layers, on SQLite ``:memory:`` and on disk:
 
 * Hypothesis drives randomly *interleaved* ``update()`` calls from a
   cast of writers, some holding the current record and some holding
@@ -10,7 +10,7 @@ Two layers, both run against every backend:
   writer must leave the stored record untouched.
 
 * A real ``multiprocessing`` stampede hammers one job with concurrent
-  read-modify-update rounds through the durable backends: no update may
+  read-modify-update rounds through the on-disk store: no update may
   be lost (the final progress counter equals the number of accepted
   writes), which is the lost-update freedom the sweep/worker/zombie
   machinery is built on.
@@ -25,22 +25,13 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.jobs import Job, JobSpec, StaleJobError
-from repro.jobs.repository import (
-    FileJobRepository,
-    MemoryJobRepository,
-    SqliteJobRepository,
-)
+from repro.jobs import Job, JobRepository, JobSpec, StaleJobError
 
-BACKENDS = ("memory", "file", "sqlite")
+BACKENDS = ("memory", "sqlite")
 
 
 def make_repo(backend: str, root: Path):
-    if backend == "memory":
-        return MemoryJobRepository()
-    if backend == "file":
-        return FileJobRepository(root / "q")
-    return SqliteJobRepository(root / "q")
+    return JobRepository(None if backend == "memory" else root / "q")
 
 
 def running_job(repo) -> Job:
@@ -124,12 +115,8 @@ def test_exactly_one_writer_wins_each_round(backend, winner):
 
 def _stampede(args) -> int:
     """One contender process: ``rounds`` read-modify-update cycles."""
-    backend, root, job_id, rounds = args
-    repo = (
-        FileJobRepository(root)
-        if backend == "file"
-        else SqliteJobRepository(root)
-    )
+    root, job_id, rounds = args
+    repo = JobRepository(root)
     accepted = 0
     try:
         for _ in range(rounds):
@@ -147,20 +134,15 @@ def _stampede(args) -> int:
     return accepted
 
 
-@pytest.mark.parametrize("backend", ("file", "sqlite"))
-def test_no_update_is_lost_under_process_contention(backend, tmp_path):
+def test_no_update_is_lost_under_process_contention(tmp_path):
     root = tmp_path / "q"
-    repo = (
-        FileJobRepository(root)
-        if backend == "file"
-        else SqliteJobRepository(root)
-    )
+    repo = JobRepository(root)
     running = running_job(repo)
     processes, rounds = 4, 12
     with multiprocessing.Pool(processes) as pool:
         wins = pool.map(
             _stampede,
-            [(backend, root, running.job_id, rounds)] * processes,
+            [(root, running.job_id, rounds)] * processes,
         )
     final = repo.get(running.job_id)
     repo.close()

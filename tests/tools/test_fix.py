@@ -1,10 +1,8 @@
-"""Autofix tests: stale-noqa surgery, RL010 rewrite, idempotence, behavior."""
+"""Autofix tests: stale-noqa surgery, RL015 rewrite, idempotence, behavior."""
 
 from __future__ import annotations
 
 from pathlib import Path
-
-import numpy as np
 
 from tools.reprolint.fix import fix_paths, fixable
 from tools.reprolint.project import Project
@@ -70,102 +68,11 @@ def test_missing_reason_is_not_autofixed(tmp_path):
     assert not any(fixable(v) for v in violations)
 
 
-# ---------------------------------------------------------------------------
-# RL010 rewrite
-# ---------------------------------------------------------------------------
-
-LEGACY = """\
-from repro.experiments.sweeps import load_sweep_series
-
-
-def series(arrival, metric):
-    return load_sweep_series(arrival, [0.2, 0.4], [0.1], metric)
-"""
-
-
-def test_rl010_rewrite_and_import_management(tmp_path):
-    target = write(tmp_path, "mod.py", LEGACY)
-    fix_paths([target], root=tmp_path)
-    fixed = target.read_text(encoding="utf-8")
-    assert "load_sweep_series" not in fixed
-    assert "sweep_many(FgBgModel(arrival=arrival, " in fixed
-    assert "from repro.core import FgBgModel" in fixed
-    assert "from repro.experiments.sweeps import sweep_many, utilization_axis" in fixed
-    assert "from repro.workloads.paper import SERVICE_RATE_PER_MS" in fixed
-    assert Project([target], root=tmp_path).lint() == []
-
-
-def test_rl010_explicit_service_rate_is_passed_through(tmp_path):
-    target = write(
-        tmp_path,
-        "mod.py",
-        "from repro.experiments.sweeps import idle_wait_sweep_series\n"
-        "\n"
-        "def series(arrival, metric):\n"
-        "    return idle_wait_sweep_series(\n"
-        "        arrival, [1.0, 2.0], [0.6], metric, service_rate=0.25\n"
-        "    )\n",
-    )
-    fix_paths([target], root=tmp_path)
-    fixed = target.read_text(encoding="utf-8")
-    assert "service_rate=0.25" in fixed
-    assert "SERVICE_RATE_PER_MS" not in fixed
-    assert "idle_wait_axis([1.0, 2.0])" in fixed
-
-
-def test_rl010_keyword_call_shape_is_rewritten(tmp_path):
-    target = write(
-        tmp_path,
-        "mod.py",
-        "from repro.experiments.sweeps import load_sweep_series\n"
-        "\n"
-        "def series(arrival, metric):\n"
-        "    return load_sweep_series(\n"
-        "        arrival,\n"
-        "        utilizations=[0.2],\n"
-        "        bg_probabilities=[0.1],\n"
-        "        metric=metric,\n"
-        "    )\n",
-    )
-    fix_paths([target], root=tmp_path)
-    fixed = target.read_text(encoding="utf-8")
-    assert "load_sweep_series" not in fixed
-    assert "utilization_axis([0.2])" in fixed
-
-
-def test_rl010_model_kwargs_shape_is_left_alone(tmp_path):
-    source = (
-        "from repro.experiments.sweeps import load_sweep_series\n"
-        "\n"
-        "def series(arrival, metric):\n"
-        "    return load_sweep_series(arrival, [0.2], [0.1], metric, bg_buffer=5)\n"
-    )
-    target = write(tmp_path, "mod.py", source)
-    outcome = fix_paths([target], root=tmp_path)
-    assert outcome.fixes == {}
-    assert target.read_text(encoding="utf-8") == source
-    assert codes(Project([target], root=tmp_path).lint()) == ["RL010"]
-
-
-def test_rl010_waived_call_is_not_rewritten(tmp_path):
-    source = (
-        "from repro.experiments.sweeps import load_sweep_series\n"
-        "\n"
-        "def series(arrival, metric):\n"
-        "    return load_sweep_series(arrival, [0.2], [0.1], metric)"
-        "  # noqa: RL010 -- exercising the deprecated wrapper\n"
-    )
-    target = write(tmp_path, "mod.py", source)
-    outcome = fix_paths([target], root=tmp_path)
-    assert outcome.fixes == {}
-    assert target.read_text(encoding="utf-8") == source
-
-
 def test_fix_is_idempotent(tmp_path):
-    target = write(tmp_path, "mod.py", LEGACY)
     write(tmp_path, "noqa_mod.py", "x = 1  # noqa: RL005 -- stale\n")
+    write(tmp_path, "clean.py", "y = 2\n")
     first = fix_paths([tmp_path], root=tmp_path)
-    assert first.total == 2
+    assert first.total == 1
     snapshot = {
         p.name: p.read_text(encoding="utf-8") for p in tmp_path.glob("*.py")
     }
@@ -174,112 +81,6 @@ def test_fix_is_idempotent(tmp_path):
     assert snapshot == {
         p.name: p.read_text(encoding="utf-8") for p in tmp_path.glob("*.py")
     }
-
-
-# ---------------------------------------------------------------------------
-# RL013: wrapping an unprotected O_EXCL lock fd in try/finally
-# ---------------------------------------------------------------------------
-
-LOCKY = """\
-import os
-
-
-class Locker:
-    def __init__(self, root):
-        self.root = root
-        self.path = root / "q.lock"
-
-    def lock(self, payload, cook):
-        fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.write(fd, cook(payload))
-        os.close(fd)
-        return self.path
-"""
-
-
-def load_module(target: Path) -> dict:
-    namespace: dict = {}
-    source = target.read_text(encoding="utf-8")
-    exec(compile(source, str(target), "exec"), namespace)
-    return namespace
-
-
-def test_rl013_lock_is_wrapped_in_try_finally(tmp_path):
-    target = write(tmp_path, "mod.py", LOCKY)
-    outcome = fix_paths([target], root=tmp_path)
-    assert outcome.fixes == {str(target): 1}
-    fixed = target.read_text(encoding="utf-8")
-    assert "try:" in fixed and "finally:" in fixed
-    assert fixed.index("os.write") < fixed.index("finally:")
-    assert [v.code for v in Project([target], root=tmp_path).lint()] == []
-
-
-def test_rl013_wrap_preserves_happy_path_and_protects_raising_path(tmp_path):
-    import os
-
-    import pytest
-
-    target = write(tmp_path, "mod.py", LOCKY)
-    fix_paths([target], root=tmp_path)
-    locker = load_module(target)["Locker"](tmp_path)
-
-    fds_before = len(os.listdir("/proc/self/fd"))
-
-    def boom(payload):
-        raise RuntimeError("disk full")
-
-    with pytest.raises(RuntimeError):
-        locker.lock(b"held\n", boom)
-    # The finally released the fd even though the body raised.
-    assert len(os.listdir("/proc/self/fd")) == fds_before
-
-    # Happy path: O_EXCL still guards, the payload still lands verbatim.
-    (tmp_path / "q.lock").unlink()
-    path = locker.lock(b"held\n", bytes)
-    assert path.read_bytes() == b"held\n"
-    with pytest.raises(FileExistsError):
-        locker.lock(b"held\n", bytes)
-
-
-def test_rl013_complex_between_statements_are_left_alone(tmp_path):
-    source = (
-        "import os\n"
-        "\n"
-        "class Locker:\n"
-        "    def __init__(self, root):\n"
-        "        self.path = root / 'q.lock'\n"
-        "\n"
-        "    def lock(self, verbose):\n"
-        "        fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)\n"
-        "        if verbose:\n"
-        "            print('locking')\n"
-        "        os.close(fd)\n"
-    )
-    target = write(tmp_path, "mod.py", source)
-    outcome = fix_paths([target], root=tmp_path)
-    assert outcome.fixes == {}
-    assert target.read_text(encoding="utf-8") == source
-    assert codes(Project([target], root=tmp_path).lint()) == ["RL013"]
-
-
-def test_rl013_waived_lock_is_not_wrapped(tmp_path):
-    source = (
-        "import os\n"
-        "\n"
-        "class Locker:\n"
-        "    def __init__(self, root):\n"
-        "        self.path = root / 'q.lock'\n"
-        "\n"
-        "    def lock(self):\n"
-        "        fd = os.open(self.path, os.O_CREAT | os.O_EXCL)"
-        "  # noqa: RL013 -- fd ownership documented elsewhere\n"
-        "        os.write(fd, b'x')\n"
-        "        os.close(fd)\n"
-    )
-    target = write(tmp_path, "mod.py", source)
-    outcome = fix_paths([target], root=tmp_path)
-    assert outcome.fixes == {}
-    assert target.read_text(encoding="utf-8") == source
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +104,13 @@ def worker_tag():
 def queue_root():
     return os.environ["REPRO_QUEUE_ROOT"]
 """
+
+
+def load_module(target: Path) -> dict:
+    namespace: dict = {}
+    source = target.read_text(encoding="utf-8")
+    exec(compile(source, str(target), "exec"), namespace)
+    return namespace
 
 
 def test_rl015_reads_are_rewritten_to_accessors(tmp_path):
@@ -370,10 +178,9 @@ def test_rl015_waived_read_is_not_rewritten(tmp_path):
 
 
 def test_new_fixes_are_idempotent(tmp_path):
-    write(tmp_path, "locky.py", LOCKY)
     write(tmp_path, "envy.py", ENVY)
     first = fix_paths([tmp_path], root=tmp_path)
-    assert first.total == 4
+    assert first.total == 3
     snapshot = {
         p.name: p.read_text(encoding="utf-8") for p in tmp_path.glob("*.py")
     }
@@ -382,47 +189,3 @@ def test_new_fixes_are_idempotent(tmp_path):
     assert snapshot == {
         p.name: p.read_text(encoding="utf-8") for p in tmp_path.glob("*.py")
     }
-
-
-# ---------------------------------------------------------------------------
-# Behavior preservation: the rewrite computes the same series
-# ---------------------------------------------------------------------------
-
-
-def test_rl010_rewrite_preserves_results(tmp_path):
-    """The rewritten call computes what the removed wrapper used to.
-
-    ``load_sweep_series`` no longer exists, so the "before" side is its
-    documented delegation -- ``sweep_many`` over ``utilization_axis`` of
-    a zero-background base model -- computed directly; the rewritten
-    legacy source must reproduce it.
-    """
-    target = write(tmp_path, "mod.py", LEGACY)
-    fix_paths([target], root=tmp_path)
-
-    from repro.core import FgBgModel
-    from repro.experiments.sweeps import sweep_many, utilization_axis
-    from repro.processes import PoissonProcess
-    from repro.workloads.paper import SERVICE_RATE_PER_MS
-
-    metric = lambda s: s.fg_queue_length  # noqa: E731 -- mirrors the exec'd call
-    before = sweep_many(
-        FgBgModel(
-            arrival=PoissonProcess(0.01),
-            service_rate=SERVICE_RATE_PER_MS,
-            bg_probability=0.0,
-        ),
-        utilization_axis([0.2, 0.4]),
-        metric,
-        [0.1],
-    )
-
-    namespace: dict = {}
-    source = target.read_text(encoding="utf-8")
-    exec(compile(source, str(target), "exec"), namespace)
-    after = namespace["series"](PoissonProcess(0.01), metric)
-
-    assert [s.label for s in before] == [s.label for s in after]
-    for old, new in zip(before, after):
-        np.testing.assert_allclose(old.x, new.x)
-        np.testing.assert_allclose(old.y, new.y)

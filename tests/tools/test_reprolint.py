@@ -46,9 +46,8 @@ def codes(violations):
         ("rl004", ["RL004", "RL004"]),
         ("rl005", ["RL005", "RL005"]),
         ("rl006", ["RL006", "RL006", "RL006"]),
-        ("rl010", ["RL010", "RL010"]),
         ("rl012", ["RL012", "RL012", "RL012"]),
-        ("rl013", ["RL013", "RL013", "RL013", "RL013"]),
+        ("rl013", ["RL013", "RL013", "RL013"]),
         ("rl014", ["RL014", "RL014", "RL014"]),
         ("rl015", ["RL015", "RL015", "RL015"]),
         ("rl016", ["RL016", "RL016", "RL016", "RL016"]),
@@ -72,7 +71,6 @@ def test_bad_fixture_fires(name, expected):
         "rl004",
         "rl005",
         "rl006",
-        "rl010",
         "rl012",
         "rl013",
         "rl014",
@@ -272,9 +270,11 @@ def test_injected_transition_outside_table_is_caught_by_rl012():
 
 
 def test_injected_torn_write_in_store_is_caught_by_rl013():
-    source, path = _real_source("src/repro/jobs/store.py")
+    """Dropping the run manifest's os.replace leaves it written in place
+    -- RL013(a) must fire."""
+    source, path = _real_source("src/repro/experiments/manifest.py")
     assert [v for v in lint_source(source, path) if v.code == "RL013"] == []
-    mutated = source.replace("        os.replace(tmp, path)\n", "")
+    mutated = source.replace("        os.replace(tmp, self.path)\n", "")
     assert mutated != source
     rl013 = [v for v in lint_source(mutated, path) if v.code == "RL013"]
     assert rl013 and "atomic-write idiom" in rl013[0].message
@@ -282,8 +282,8 @@ def test_injected_torn_write_in_store_is_caught_by_rl013():
 
 def test_injected_autocommit_mutation_in_sqlite_store_is_caught_by_rl013():
     """Stripping the connection from the transaction context leaves the
-    mutating statements in autocommit mode -- RL013(c) must fire."""
-    source, path = _real_source("src/repro/jobs/sqlite_store.py")
+    mutating statements in autocommit mode -- RL013(b) must fire."""
+    source, path = _real_source("src/repro/jobs/store.py")
     assert [v for v in lint_source(source, path) if v.code == "RL013"] == []
     mutated = source.replace(
         "with self._lock, self._conn:", "with self._lock:"
@@ -418,7 +418,8 @@ def test_cli_list_rules():
     result = run_cli("--list-rules")
     assert result.returncode == 0
     for number in range(1, 21):
-        assert f"RL{number:03d}" in result.stdout
+        # Rule 10 (deprecated sweep calls) was retired; numbers are not reused.
+        assert (f"RL{number:03d}" in result.stdout) == (number != 10)
 
 
 def test_cli_explain_prints_rationale_example_and_fix():

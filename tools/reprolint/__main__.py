@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fix",
         action="store_true",
-        help="apply mechanical fixes (stale noqa removal, RL010 rewrite) first",
+        help="apply mechanical fixes (stale noqa removal, RL015 rewrite) first",
     )
     parser.add_argument(
         "--cache",

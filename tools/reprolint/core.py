@@ -178,8 +178,8 @@ def lint_source(source: str, path: str = "<string>") -> list[Violation]:
     """Run the per-file rules on one source string.
 
     Returns the unsuppressed violations of the single-file rules
-    (RL001-RL006, RL010).  The project-level rules (RL007-RL009) need
-    cross-file context and run through
+    (RL001-RL006, RL012-RL020).  The project-level rules (RL007-RL009,
+    RL011) need cross-file context and run through
     :class:`tools.reprolint.project.Project` / :func:`lint_paths`.
     """
     violations = raw_lint_source(source, path)

@@ -126,14 +126,6 @@ RULE_DOCS: dict[str, RuleDoc] = {
             "'# noqa: RLxxx -- reason'."
         ),
     ),
-    "RL010": RuleDoc(
-        rationale=(
-            "load_sweep_series/idle_wait_sweep_series were removed; "
-            "sweep_many is the single sweep surface."
-        ),
-        example="series = load_sweep_series(models)",
-        fix="Call sweep_many (--fix rewrites simple call sites).",
-    ),
     "RL011": RuleDoc(
         rationale=(
             "Solvers never mutate inputs: a parameter array written in "
@@ -155,18 +147,16 @@ RULE_DOCS: dict[str, RuleDoc] = {
     ),
     "RL013": RuleDoc(
         rationale=(
-            "Durable repository/cache writes must be crash-atomic "
-            "(tmp.<pid> + os.replace for files; a 'with conn:' "
-            "transaction for SQLite, which commits or rolls back as one "
-            "unit) and O_EXCL lock fds must close on all paths, or a "
-            "SIGKILL leaves torn files, half-applied updates and dead "
-            "locks."
+            "Durable cache/manifest/job-store writes must be "
+            "crash-atomic (tmp.<pid> + os.replace for files; a 'with "
+            "conn:' transaction for SQLite, which commits or rolls back "
+            "as one unit), or a SIGKILL leaves torn files and "
+            "half-applied updates."
         ),
         example="path.write_text(payload)  # torn on crash",
         fix=(
             "Write to a tmp.<pid> sibling and os.replace it; run "
-            "mutating SQL inside 'with conn:'; wrap lock fds in "
-            "try/finally (--fix wraps simple locks)."
+            "mutating SQL inside 'with conn:'."
         ),
     ),
     "RL014": RuleDoc(

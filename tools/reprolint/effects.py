@@ -10,7 +10,7 @@ The interprocedural layer works in two stages:
    in-place ndarray methods, ``out=`` aliasing, including through
    ``np.asarray``-style aliases of a parameter), which parameters it
    provably freezes on every non-raising path, whether it writes files,
-   acquires/releases ``O_EXCL`` locks, may raise, and whether it carries
+   may raise, and whether it carries
    *strong* contract evidence (an ``@contracted`` decorator or a
    ``validate_*``/``check_*`` call) -- plus its outgoing call sites with
    argument name bindings.
@@ -21,7 +21,7 @@ The interprocedural layer works in two stages:
    ``solve()`` calling ``_step(x)`` that does ``x *= 2`` thereby reports
    ``solve`` as mutating its own argument.
 
-May-facts (mutation, file writes, lock traffic, raising) only ever
+May-facts (mutation, file writes, raising) only ever
 *grow* during propagation, so the fixpoint terminates.  Must-facts (the
 freeze set) are deliberately **not** propagated interprocedurally:
 inside a cycle a freeze cannot be certified bottom-up, and cross-module
@@ -267,7 +267,7 @@ def _open_mode_writes(call: ast.Call) -> bool:
 
 
 def _booleans(func: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, bool]:
-    writes_file = acquires_lock = releases_lock = may_raise = strong = False
+    writes_file = may_raise = strong = False
     for decorator in func.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         if _leaf_name(target) == _CONTRACT_DECORATOR:
@@ -294,30 +294,11 @@ def _booleans(func: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, bool]:
                     writes_file = True
                 elif leaf == "dump" and base_name in {"json", "pickle", "marshal"}:
                     writes_file = True
-                elif base_name == "os" and leaf == "open" and _mentions_o_excl(node):
-                    acquires_lock = True
-                elif base_name == "os" and leaf == "close":
-                    releases_lock = True
-                elif leaf == "acquire":
-                    acquires_lock = True
-                elif leaf == "release":
-                    releases_lock = True
     return {
         "writes_file": writes_file,
-        "acquires_lock": acquires_lock,
-        "releases_lock": releases_lock,
         "may_raise": may_raise,
         "strong_evidence": strong,
     }
-
-
-def _mentions_o_excl(call: ast.Call) -> bool:
-    for node in ast.walk(call):
-        if isinstance(node, ast.Attribute) and node.attr == "O_EXCL":
-            return True
-        if isinstance(node, ast.Name) and node.id == "O_EXCL":
-            return True
-    return False
 
 
 def _call_records(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[dict[str, Any]]:
@@ -456,7 +437,7 @@ def _bindings(
             yield name, kw
 
 
-_BOOL_EFFECTS = ("writes_file", "acquires_lock", "releases_lock", "may_raise")
+_BOOL_EFFECTS = ("writes_file", "may_raise")
 
 
 def propagate(

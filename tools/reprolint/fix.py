@@ -1,27 +1,14 @@
-"""Mechanical fixes: RL009 noqa surgery, RL010/RL013/RL015 rewrites.
+"""Mechanical fixes: RL009 noqa surgery, RL015 rewrites.
 
 ``fix_paths`` runs the project analysis, applies every mechanical fix,
 and re-lints until nothing fixable remains -- so a second invocation is
 always a no-op (idempotence is guaranteed by construction, and the CLI
-asserts it).  Four fix classes exist, all behavior-preserving:
+asserts it).  Two fix classes exist, both behavior-preserving:
 
 * **stale noqa codes** (RL009) are removed from their comment (the whole
   comment goes when no codes remain and nothing else was suppressed);
   missing-``-- reason`` findings are *not* auto-fixed -- a tool cannot
   write the reason;
-* **deprecated sweep calls** (RL010: ``load_sweep_series`` /
-  ``idle_wait_sweep_series``) are rewritten to the exact delegation the
-  deprecated wrapper performs (``sweep_many`` over the matching axis and
-  an explicit ``FgBgModel``), provided the call shape is simple enough
-  to rewrite faithfully (no ``**kwargs``, no unknown keywords);
-  missing imports are added, and a deprecated import left without
-  references is dropped;
-* **unprotected O_EXCL lock fds** (RL013) whose ``os.open`` /
-  ``os.close`` pair sits in one statement list with only simple
-  single-line statements between them are wrapped in ``try``/``finally``
-  so a raising path can no longer leak the lock -- the statements run
-  in the same order on the happy path, only the raising paths change
-  (to release the lock, which is the point);
 * **literal REPRO_* env reads** (RL015: ``os.environ[...]``,
   ``os.environ.get``, ``os.getenv``) are rewritten to the designated
   accessors ``repro_env`` / ``repro_env_required`` from ``repro._env``,
@@ -43,20 +30,12 @@ __all__ = ["FixOutcome", "fix_paths", "fixable"]
 
 _MAX_PASSES = 4
 
-_DEPRECATED = {
-    "load_sweep_series": ("utilization_axis", "utilizations"),
-    "idle_wait_sweep_series": ("idle_wait_axis", "idle_wait_multiples"),
-}
-_WRAPPER_PARAMS = ("arrival", None, "bg_probabilities", "metric", "service_rate")
-
 
 def fixable(violation: Violation) -> bool:
     """True when ``--fix`` can mechanically resolve this violation."""
-    if violation.code in {"RL010", "RL015"}:
-        return True
-    if violation.code == "RL013":
-        return "O_EXCL" in violation.message
-    return violation.code == "RL009" and "stale" in violation.message
+    return violation.code == "RL015" or (
+        violation.code == "RL009" and "stale" in violation.message
+    )
 
 
 @dataclass
@@ -141,7 +120,7 @@ def _apply_noqa_fixes(
 
 
 # ---------------------------------------------------------------------------
-# RL010: deprecated sweep call rewrite
+# Source-editing helpers
 # ---------------------------------------------------------------------------
 
 
@@ -154,108 +133,6 @@ def _offsets(source: str) -> list[int]:
 
 def _abs_offset(starts: list[int], line: int, col: int) -> int:
     return starts[line - 1] + col
-
-
-def _call_name(node: ast.Call) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _wrapper_arguments(
-    node: ast.Call, axis_value_name: str
-) -> dict[str, ast.expr] | None:
-    """Map a deprecated call's args to wrapper parameter names, or None."""
-    names = [
-        "arrival",
-        axis_value_name,
-        "bg_probabilities",
-        "metric",
-        "service_rate",
-    ]
-    bound: dict[str, ast.expr] = {}
-    if len(node.args) > len(names):
-        return None
-    for index, arg in enumerate(node.args):
-        if isinstance(arg, ast.Starred):
-            return None
-        bound[names[index]] = arg
-    for keyword in node.keywords:
-        if keyword.arg is None or keyword.arg not in names:
-            return None  # **model_kwargs or unknown keyword: not mechanical
-        if keyword.arg in bound:
-            return None
-        bound[keyword.arg] = keyword.value
-    if not all(name in bound for name in names[:4]):
-        return None
-    return bound
-
-
-def _rewrite_deprecated_calls(source: str, path: str) -> tuple[str, int]:
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return source, 0
-    comments = noqa_map(source)
-    starts = _offsets(source)
-    edits: list[tuple[int, int, str]] = []
-    needed: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _call_name(node)
-        if name not in _DEPRECATED:
-            continue
-        comment = comments.get(node.lineno)
-        if comment is not None and comment.suppresses("RL010"):
-            continue
-        axis_fn, axis_value_name = _DEPRECATED[name]
-        bound = _wrapper_arguments(node, axis_value_name)
-        if bound is None:
-            continue
-
-        def segment(key: str) -> str | None:
-            expr = bound.get(key)
-            return None if expr is None else ast.get_source_segment(source, expr)
-
-        arrival = segment("arrival")
-        values = segment(axis_value_name)
-        probabilities = segment("bg_probabilities")
-        metric = segment("metric")
-        if None in (arrival, values, probabilities, metric):
-            continue
-        service = segment("service_rate")
-        if service is None:
-            service = "SERVICE_RATE_PER_MS"
-            needed.add("SERVICE_RATE_PER_MS")
-        needed.update({"sweep_many", axis_fn, "FgBgModel"})
-        replacement = (
-            f"sweep_many(FgBgModel(arrival={arrival}, "
-            f"service_rate={service}, bg_probability=0.0), "
-            f"{axis_fn}({values}), {metric}, {probabilities})"
-        )
-        begin = _abs_offset(starts, node.lineno, node.col_offset)
-        end = _abs_offset(starts, node.end_lineno or node.lineno, node.end_col_offset or 0)
-        edits.append((begin, end, replacement))
-    if not edits:
-        return source, 0
-    for begin, end, replacement in sorted(edits, reverse=True):
-        source = source[:begin] + replacement + source[end:]
-    source = _ensure_imports(source, path, needed)
-    source = _drop_unused_deprecated_imports(source, path)
-    return source, len(edits)
-
-
-_IMPORT_LINES = {
-    "FgBgModel": "from repro.core import FgBgModel",
-    "SERVICE_RATE_PER_MS": "from repro.workloads.paper import SERVICE_RATE_PER_MS",
-    "sweep_many": "from repro.experiments.sweeps import sweep_many",
-    "utilization_axis": "from repro.experiments.sweeps import utilization_axis",
-    "idle_wait_axis": "from repro.experiments.sweeps import idle_wait_axis",
-}
 
 
 def _bound_names(tree: ast.Module) -> set[str]:
@@ -283,36 +160,19 @@ def _ensure_imports(source: str, path: str, needed: set[str]) -> str:
         tree = ast.parse(source, filename=path)
     except SyntaxError:
         return source
-    missing = sorted(needed - _bound_names(tree))
-    if not missing:
-        return source
-    sweeps_names = [
-        name
-        for name in ("sweep_many", "utilization_axis", "idle_wait_axis")
-        if name in missing
-    ]
     env_names = [
         name
         for name in ("repro_env", "repro_env_required")
-        if name in missing
+        if name in needed - _bound_names(tree)
     ]
-    lines: list[str] = []
-    if env_names:
-        lines.append(f"from repro._env import {', '.join(env_names)}")
-    if "FgBgModel" in missing:
-        lines.append(_IMPORT_LINES["FgBgModel"])
-    if sweeps_names:
-        lines.append(
-            f"from repro.experiments.sweeps import {', '.join(sweeps_names)}"
-        )
-    if "SERVICE_RATE_PER_MS" in missing:
-        lines.append(_IMPORT_LINES["SERVICE_RATE_PER_MS"])
+    if not env_names:
+        return source
+    insertion = f"from repro._env import {', '.join(env_names)}\n"
     last_import_end = 0
     for stmt in tree.body:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             last_import_end = stmt.end_lineno or stmt.lineno
     source_lines = source.splitlines(keepends=True)
-    insertion = "".join(f"{line}\n" for line in lines)
     if last_import_end == 0:
         # No imports yet: insert after a module docstring if present.
         docstring_end = 0
@@ -330,174 +190,6 @@ def _ensure_imports(source: str, path: str, needed: set[str]) -> str:
     prefix = "".join(source_lines[:last_import_end])
     suffix = "".join(source_lines[last_import_end:])
     return f"{prefix}{insertion}{suffix}"
-
-
-def _drop_unused_deprecated_imports(source: str, path: str) -> str:
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return source
-    used: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-    starts = _offsets(source)
-    edits: list[tuple[int, int, str]] = []
-    for stmt in tree.body:
-        if not isinstance(stmt, ast.ImportFrom):
-            continue
-        dead = [
-            alias
-            for alias in stmt.names
-            if alias.name in _DEPRECATED and (alias.asname or alias.name) not in used
-        ]
-        if not dead:
-            continue
-        keep = [alias for alias in stmt.names if alias not in dead]
-        begin = _abs_offset(starts, stmt.lineno, stmt.col_offset)
-        end_line = stmt.end_lineno or stmt.lineno
-        end = _abs_offset(starts, end_line, stmt.end_col_offset or 0)
-        if not keep:
-            # Swallow the trailing newline with the statement.
-            if end < len(source) and source[end] == "\n":
-                end += 1
-            edits.append((begin, end, ""))
-        else:
-            rendered = ", ".join(
-                alias.name if alias.asname is None else f"{alias.name} as {alias.asname}"
-                for alias in keep
-            )
-            module = "." * stmt.level + (stmt.module or "")
-            edits.append((begin, end, f"from {module} import {rendered}"))
-    for begin, end, replacement in sorted(edits, reverse=True):
-        source = source[:begin] + replacement + source[end:]
-    return source
-
-
-# ---------------------------------------------------------------------------
-# RL013: wrap unprotected O_EXCL lock fds in try/finally
-# ---------------------------------------------------------------------------
-
-#: Statement kinds safe to move under ``try:`` -- straight-line only, so
-#: the happy path is byte-for-byte the same sequence of operations.
-_SIMPLE_BETWEEN = (ast.Expr, ast.Assign, ast.AugAssign, ast.AnnAssign)
-
-
-def _lock_open_fd(stmt: ast.stmt) -> str | None:
-    """The fd name when ``stmt`` is ``fd = os.open(...)``, else None."""
-    if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-        return None
-    target = stmt.targets[0]
-    call = stmt.value
-    if not isinstance(target, ast.Name) or not isinstance(call, ast.Call):
-        return None
-    fn = call.func
-    if (
-        isinstance(fn, ast.Attribute)
-        and fn.attr == "open"
-        and isinstance(fn.value, ast.Name)
-        and fn.value.id == "os"
-    ):
-        return target.id
-    return None
-
-
-def _is_os_close(stmt: ast.stmt, fd: str) -> bool:
-    if not isinstance(stmt, ast.Expr) or not isinstance(stmt.value, ast.Call):
-        return False
-    call = stmt.value
-    return (
-        isinstance(call.func, ast.Attribute)
-        and call.func.attr == "close"
-        and isinstance(call.func.value, ast.Name)
-        and call.func.value.id == "os"
-        and len(call.args) == 1
-        and isinstance(call.args[0], ast.Name)
-        and call.args[0].id == fd
-    )
-
-
-def _rebinds(stmt: ast.stmt, name: str) -> bool:
-    return any(
-        isinstance(node, ast.Name)
-        and node.id == name
-        and isinstance(node.ctx, (ast.Store, ast.Del))
-        for node in ast.walk(stmt)
-    )
-
-
-def _lock_wrap_sites(
-    tree: ast.Module, flagged: set[int]
-) -> list[tuple[int, int]]:
-    """(open end_lineno, close lineno) pairs safe to wrap in try/finally."""
-    sites: list[tuple[int, int]] = []
-    for parent in ast.walk(tree):
-        for attr in ("body", "orelse", "finalbody"):
-            stmts = getattr(parent, attr, None)
-            if not isinstance(stmts, list) or not stmts:
-                continue
-            for index, stmt in enumerate(stmts):
-                fd = _lock_open_fd(stmt)
-                if fd is None or stmt.value.lineno not in flagged:
-                    continue
-                close_at = next(
-                    (
-                        j
-                        for j in range(index + 1, len(stmts))
-                        if _is_os_close(stmts[j], fd)
-                    ),
-                    None,
-                )
-                if close_at is None or close_at == index + 1:
-                    continue  # nothing between: no raising path to protect
-                between = stmts[index + 1 : close_at]
-                close = stmts[close_at]
-                if not all(
-                    isinstance(s, _SIMPLE_BETWEEN)
-                    and s.lineno == s.end_lineno
-                    and not _rebinds(s, fd)
-                    for s in between
-                ):
-                    continue
-                if close.lineno != close.end_lineno:
-                    continue
-                sites.append((stmt.end_lineno or stmt.lineno, close.lineno))
-    return sites
-
-
-def _wrap_lock_try_finally(source: str, path: str) -> tuple[str, int]:
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return source, 0
-    comments = noqa_map(source)
-    flagged = {
-        v.line
-        for v in rules.rl013_durable_write_discipline(tree, path)
-        if "O_EXCL" in v.message
-        and not (
-            (c := comments.get(v.line)) is not None and c.suppresses("RL013")
-        )
-    }
-    if not flagged:
-        return source, 0
-    sites = _lock_wrap_sites(tree, flagged)
-    if not sites:
-        return source, 0
-    lines = source.splitlines(keepends=True)
-    for open_end, close_line in sorted(sites, reverse=True):
-        open_line = lines[open_end - 1]
-        indent = open_line[: len(open_line) - len(open_line.lstrip())]
-        body = [
-            "    " + text if text.strip() else text
-            for text in lines[open_end : close_line - 1]
-        ]
-        close = lines[close_line - 1]
-        block = [f"{indent}try:\n", *body, f"{indent}finally:\n", "    " + close]
-        lines[open_end:close_line] = block
-    return "".join(lines), len(sites)
 
 
 # ---------------------------------------------------------------------------
@@ -618,18 +310,10 @@ def fix_paths(
             new_source, n_noqa = _apply_noqa_fixes(
                 source, _stale_noqa_codes(project, path)
             )
-            new_source, n_calls = _rewrite_deprecated_calls(new_source, path)
-            new_source, n_locks = _wrap_lock_try_finally(new_source, path)
             new_source, n_env = _rewrite_env_reads(new_source, path)
             if new_source != source:
                 Path(path).write_text(new_source, encoding="utf-8")
-                outcome.fixes[path] = (
-                    outcome.fixes.get(path, 0)
-                    + n_noqa
-                    + n_calls
-                    + n_locks
-                    + n_env
-                )
+                outcome.fixes[path] = outcome.fixes.get(path, 0) + n_noqa + n_env
                 changed = True
         outcome.passes += 1
         if not changed:

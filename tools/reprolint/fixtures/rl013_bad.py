@@ -1,7 +1,6 @@
-"""Fixture: torn durable writes, a leakable lock fd, autocommit SQL (RL013 x4)."""
+"""Fixture: torn durable writes, autocommit SQL (RL013 x3)."""
 
 import json
-import os
 import sqlite3
 
 
@@ -19,14 +18,6 @@ class Ledger:
         # RL013: bare append to a durable path, no tmp + os.replace.
         with open(log, "a") as handle:
             handle.write(line)
-
-    def lock(self):
-        lock = self.path.with_suffix(".lock")
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        # RL013: os.write may raise (ENOSPC) and leak the lock forever.
-        os.write(fd, b"held\n")
-        os.close(fd)
-        return lock
 
 
 class SqlLedger:

@@ -1,4 +1,4 @@
-"""Fixture twin: atomic durable writes, protected lock fds (no RL013)."""
+"""Fixture twin: atomic durable writes, transactional SQL (no RL013)."""
 
 import json
 import os
@@ -13,22 +13,6 @@ class Ledger:
         tmp = self.path.with_name(f"{self.path.name}.tmp.{os.getpid()}")
         tmp.write_text(json.dumps(payload))
         os.replace(tmp, self.path)
-
-    def lock(self):
-        lock = self.path.with_suffix(".lock")
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        with os.fdopen(fd, "w") as handle:
-            handle.write("held\n")
-        return lock
-
-    def lock_try_finally(self):
-        lock = self.path.with_suffix(".lock")
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        try:
-            os.write(fd, b"held\n")
-        finally:
-            os.close(fd)
-        return lock
 
 
 class SqlLedger:

@@ -88,7 +88,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate every cache entry (rule or summary format changes).
-ENGINE_VERSION = "reprolint-4.0"
+ENGINE_VERSION = "reprolint-4.1"
 
 #: Packages whose exports RL007 holds to contract coverage.
 DEFAULT_CONTRACT_PACKAGES = (

@@ -39,10 +39,6 @@ RL006
     read-only on all paths (``setflags(write=False)``) makes the
     contract layer skip re-validation of data that can still mutate --
     the exact bug class CLAUDE.md warns silently corrupts every solve.
-RL010
-    Call of a deprecated sweep entry point (``load_sweep_series`` /
-    ``idle_wait_sweep_series``); mechanically rewritable to
-    ``sweep_many`` over the matching axis (``--fix`` applies it).
 RL012
     Lifecycle-gate bypass.  ``_to()`` is the *only* place a job's state
     may change (that is what makes :data:`TRANSITIONS` unbypassable);
@@ -52,11 +48,11 @@ RL012
     state no declared transition reaches is flagged too (the table is
     extracted statically from the module, so the rule tracks the code).
 RL013
-    Durable-write discipline.  Writes landing in repository/cache
-    paths (paths derived from ``self``) must use the
-    ``tmp.<pid>`` + ``os.replace`` idiom, or a SIGKILL mid-write leaves
-    a torn file; ``O_EXCL`` lock fds must be closed via a context
-    manager or try/finally, or a raising path leaks the lock forever.
+    Durable-write discipline.  Writes landing in cache/manifest paths
+    (paths derived from ``self``) must use the ``tmp.<pid>`` +
+    ``os.replace`` idiom, or a SIGKILL mid-write leaves a torn file;
+    mutating SQL must run inside ``with conn:``, or a crash between
+    statements durably applies half an update.
 RL014
     Exception laundering.  The failure-semantics contract forbids two
     conversions outright: silently dropping a ``ContractViolation``
@@ -97,10 +93,9 @@ RULE_SUMMARIES = {
     "RL007": "public entry point without contract coverage or waiver",
     "RL008": "unit mismatch between argument and parameter across a call site",
     "RL009": "stale # noqa suppression, or one missing its '-- reason' trailer",
-    "RL010": "call of a deprecated sweep API (load/idle_wait_sweep_series)",
     "RL011": "solver entry point mutates a parameter array (possibly via a callee)",
     "RL012": "job state/terminal timestamp written outside the _to() lifecycle gate",
-    "RL013": "durable write without tmp+os.replace, or unprotected O_EXCL lock fd",
+    "RL013": "durable write without tmp+os.replace, or mutating SQL in autocommit",
     "RL014": "ContractViolation dropped, or SweepCancelled laundered into a failure",
     "RL015": "literal REPRO_* env read outside the designated accessor modules",
     "RL016": "non-conformable or non-square block assembly reaching a QBD sink",
@@ -540,6 +535,20 @@ def rl005_stationary_on_phase_sum(
     tree: ast.AST, path: str
 ) -> Iterator[Violation]:
     """RL005: stationary solve on A0+A1+A2 instead of the SCC-aware drift."""
+    # Most modules never call stationary_distribution: skip the per-scope
+    # walks below for them.
+    if not any(
+        isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "stationary_distribution")
+            or (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "stationary_distribution"
+            )
+        )
+        for node in ast.walk(tree)
+    ):
+        return
     # Track names assigned from a phase-process sum, per enclosing scope.
     # A function body is walked both as its own scope and as part of the
     # module scope; dedupe by source location.
@@ -670,37 +679,6 @@ def self_kw_value(call: ast.Call, name: str) -> ast.expr | None:
         if keyword.arg == name:
             return keyword.value
     return None
-
-
-_DEPRECATED_SWEEP_CALLS = {
-    "load_sweep_series": "sweep_many(base_model, utilization_axis(...), metric, ...)",
-    "idle_wait_sweep_series": "sweep_many(base_model, idle_wait_axis(...), metric, ...)",
-}
-
-
-def rl010_deprecated_sweep_api(tree: ast.AST, path: str) -> Iterator[Violation]:
-    """RL010: call sites of the deprecated pre-engine sweep entry points."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else None
-        )
-        if name in _DEPRECATED_SWEEP_CALLS:
-            yield Violation(
-                path,
-                node.lineno,
-                node.col_offset,
-                "RL010",
-                f"{name} was removed from repro.experiments.sweeps; use "
-                f"{_DEPRECATED_SWEEP_CALLS[name]} instead "
-                "(mechanical rewrite available via --fix)",
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -928,133 +906,61 @@ def _open_write_mode(call: ast.Call) -> bool:
 
 
 def rl013_durable_write_discipline(tree: ast.AST, path: str) -> Iterator[Violation]:
-    """RL013: non-atomic durable writes, unprotected O_EXCL lock fds."""
+    """RL013: non-atomic durable writes, mutating SQL in autocommit."""
     for func in _function_nodes(tree):
-        derived = _self_derived_names(func)
+        # One pass collects the candidates; the costlier self-derivation
+        # and transaction analyses run only for functions that have some.
         replaced: set[str] = set()
-        fdopen_with: set[str] = set()
-        closed_in_finally: set[str] = set()
-        returned: set[str] = set()
+        writes: list[tuple[ast.Call, ast.expr, str]] = []
+        executes = False
         for node in effects.walk_scope(func):
-            if isinstance(node, ast.Call):
-                fn = node.func
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if isinstance(fn, ast.Name):
+                if fn.id == "open" and node.args and _open_write_mode(node):
+                    writes.append((node, node.args[0], "open(..., 'w')"))
+            elif isinstance(fn, ast.Attribute):
                 if (
-                    isinstance(fn, ast.Attribute)
-                    and fn.attr == "replace"
+                    fn.attr == "replace"
                     and isinstance(fn.value, ast.Name)
                     and fn.value.id == "os"
                     and node.args
                 ):
                     replaced.add(ast.unparse(node.args[0]))
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    expr = item.context_expr
-                    if (
-                        isinstance(expr, ast.Call)
-                        and isinstance(expr.func, ast.Attribute)
-                        and expr.func.attr == "fdopen"
-                        and isinstance(expr.func.value, ast.Name)
-                        and expr.func.value.id == "os"
-                        and expr.args
-                        and isinstance(expr.args[0], ast.Name)
-                    ):
-                        fdopen_with.add(expr.args[0].id)
-            elif isinstance(node, ast.Try):
-                for stmt in node.finalbody:
-                    for inner in ast.walk(stmt):
-                        if (
-                            isinstance(inner, ast.Call)
-                            and isinstance(inner.func, ast.Attribute)
-                            and inner.func.attr == "close"
-                            and isinstance(inner.func.value, ast.Name)
-                            and inner.func.value.id == "os"
-                            and inner.args
-                            and isinstance(inner.args[0], ast.Name)
-                        ):
-                            closed_in_finally.add(inner.args[0].id)
-            elif isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
-                returned.add(node.value.id)
+                elif fn.attr in {"write_text", "write_bytes"}:
+                    writes.append((node, fn.value, f".{fn.attr}()"))
+                elif fn.attr == "open" and _open_write_mode(node):
+                    writes.append((node, fn.value, ".open('w')"))
+                elif fn.attr in _SQLITE_EXECUTE:
+                    executes = True
 
-        for node in effects.walk_scope(func):
-            if not isinstance(node, ast.Call):
+        # (a) durable writes without the tmp.<pid> + os.replace idiom
+        derived = _self_derived_names(func) if writes else set()
+        for node, target, what in writes:
+            if not _is_self_derived(target, derived):
                 continue
-            fn = node.func
-            # (a) durable writes without the tmp.<pid> + os.replace idiom
-            write_target: ast.expr | None = None
-            what: str | None = None
-            if (
-                isinstance(fn, ast.Attribute)
-                and fn.attr in {"write_text", "write_bytes"}
-                and _is_self_derived(fn.value, derived)
-            ):
-                write_target, what = fn.value, f".{fn.attr}()"
-            elif (
-                isinstance(fn, ast.Name)
-                and fn.id == "open"
-                and node.args
-                and _open_write_mode(node)
-                and _is_self_derived(node.args[0], derived)
-            ):
-                write_target, what = node.args[0], "open(..., 'w')"
-            elif (
-                isinstance(fn, ast.Attribute)
-                and fn.attr == "open"
-                and _open_write_mode(node)
-                and _is_self_derived(fn.value, derived)
-            ):
-                write_target, what = fn.value, ".open('w')"
-            if write_target is not None:
-                target_repr = ast.unparse(write_target)
-                if target_repr not in replaced:
-                    yield Violation(
-                        path,
-                        node.lineno,
-                        node.col_offset,
-                        "RL013",
-                        f"{what} on durable path {target_repr!r} without the "
-                        "atomic-write idiom; write to a sibling "
-                        "'<name>.tmp.<pid>' and os.replace() it into place, "
-                        "or a mid-write kill leaves a torn file",
-                    )
-                continue
-            # (b) O_EXCL lock fds not protected on raising paths
-            if (
-                isinstance(fn, ast.Attribute)
-                and fn.attr == "open"
-                and isinstance(fn.value, ast.Name)
-                and fn.value.id == "os"
-                and any(
-                    (isinstance(flag, ast.Attribute) and flag.attr == "O_EXCL")
-                    or (isinstance(flag, ast.Name) and flag.id == "O_EXCL")
-                    for arg in node.args
-                    for flag in ast.walk(arg)
+            target_repr = ast.unparse(target)
+            if target_repr not in replaced:
+                yield Violation(
+                    path,
+                    node.lineno,
+                    node.col_offset,
+                    "RL013",
+                    f"{what} on durable path {target_repr!r} without the "
+                    "atomic-write idiom; write to a sibling "
+                    "'<name>.tmp.<pid>' and os.replace() it into place, "
+                    "or a mid-write kill leaves a torn file",
                 )
-            ):
-                fd_names = _assigned_names_of_call(func, node)
-                protected_fd = any(
-                    name in fdopen_with
-                    or name in closed_in_finally
-                    or name in returned
-                    for name in fd_names
-                )
-                if not protected_fd:
-                    yield Violation(
-                        path,
-                        node.lineno,
-                        node.col_offset,
-                        "RL013",
-                        "O_EXCL lock fd is not closed on all paths; hand it "
-                        "to 'with os.fdopen(fd, ...)' or close it in a "
-                        "try/finally, or a raising path leaks the lock "
-                        "forever (--fix wraps simple cases)",
-                    )
-        # (c) mutating SQL in autocommit mode (outside ``with conn:``)
-        yield from _rl013_sqlite_autocommit(func, path)
+        # (b) mutating SQL in autocommit mode (outside ``with conn:``)
+        if executes:
+            yield from _rl013_sqlite_autocommit(func, path)
 
 
 #: SQL verbs that mutate durable state.  SELECT/PRAGMA/CREATE are exempt:
 #: reads are harmless and idempotent schema setup is a single statement.
 _SQLITE_MUTATING = frozenset({"insert", "update", "delete", "replace"})
+_SQLITE_EXECUTE = frozenset({"execute", "executemany", "executescript"})
 
 
 def _looks_like_connection(expr: ast.expr) -> bool:
@@ -1073,7 +979,7 @@ def _looks_like_connection(expr: ast.expr) -> bool:
 def _rl013_sqlite_autocommit(
     func: ast.FunctionDef | ast.AsyncFunctionDef, path: str
 ) -> Iterator[Violation]:
-    """RL013(c): mutating SQL executed outside the connection's own
+    """RL013(b): mutating SQL executed outside the connection's own
     transaction context.
 
     ``with conn:`` wraps the enclosed statements in one transaction --
@@ -1101,7 +1007,7 @@ def _rl013_sqlite_autocommit(
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in {"execute", "executemany", "executescript"}
+            and node.func.attr in _SQLITE_EXECUTE
             and node.args
             and _looks_like_connection(node.func.value)
         ):
@@ -1130,21 +1036,6 @@ def _rl013_sqlite_autocommit(
 
     for stmt in func.body:
         yield from visit(stmt, ())
-
-
-def _assigned_names_of_call(
-    func: ast.FunctionDef | ast.AsyncFunctionDef, call: ast.Call
-) -> list[str]:
-    for node in effects.walk_scope(func):
-        if isinstance(node, ast.Assign) and node.value is call:
-            return [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if (
-            isinstance(node, ast.AnnAssign)
-            and node.value is call
-            and isinstance(node.target, ast.Name)
-        ):
-            return [node.target.id]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -1351,7 +1242,6 @@ FILE_RULES = (
     rl004_suppression_near_nan_guard,
     rl005_stationary_on_phase_sum,
     rl006_certificate_soundness,
-    rl010_deprecated_sweep_api,
     rl012_lifecycle_gate_bypass,
     rl013_durable_write_discipline,
     rl014_exception_laundering,
