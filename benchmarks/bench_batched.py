@@ -27,7 +27,7 @@ import numpy as np
 from repro.contracts import certify_spectral_radius_below_one
 from repro.core.batched import solve_models_batched
 from repro.core.model import FgBgModel
-from repro.engine import SweepEngine
+from repro.engine import EngineConfig, SweepEngine
 from repro.workloads.paper import SERVICE_RATE_PER_MS, WORKLOADS
 
 UTILIZATIONS = tuple(round(0.05 * k, 2) for k in range(1, 12))  # 0.05..0.55
@@ -111,7 +111,7 @@ def bench_batched_vs_sequential(benchmark):
     assert worst < 1e-10
 
     # Engine-level run for the per-group records the JSON documents.
-    engine = SweepEngine(batched=True)
+    engine = SweepEngine(EngineConfig(batched=True))
     engine.run_chain(models)
     group_records = [g.as_dict() for g in engine.stats.batch_groups]
 

@@ -57,9 +57,15 @@ def _pid_alive(pid: int) -> bool:
 
 
 def solve_key(
-    fingerprint: str, algorithm: str, tol: float
+    fingerprint: str,
+    algorithm: str = "logarithmic-reduction",
+    tol: float = 1e-12,
 ) -> str:
-    """Cache key of one solve: format, model fingerprint, solver parameters."""
+    """Cache key of one solve: format, model fingerprint, solver parameters.
+
+    The engine always solves with the defaults; they stay in the hash so
+    the keys of existing on-disk caches still match.
+    """
     if not fingerprint:
         raise ValueError("solve_key needs a non-empty model fingerprint")
     if not tol > 0.0:
@@ -123,13 +129,9 @@ class SolveCache:
         return self._directory
 
     @staticmethod
-    def key(
-        model: FgBgModel,
-        algorithm: str = "logarithmic-reduction",
-        tol: float = 1e-12,
-    ) -> str:
-        """Cache key of ``model`` solved with the given parameters."""
-        return solve_key(model.fingerprint(), algorithm, tol)
+    def key(model: FgBgModel) -> str:
+        """Cache key of ``model`` as the engine solves it."""
+        return solve_key(model.fingerprint())
 
     def _path(self, key: str) -> Path:
         return self._directory / f"{key}.pkl"

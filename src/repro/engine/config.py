@@ -1,14 +1,11 @@
 """One frozen configuration object for the sweep engine.
 
-Every caller that wants to *store* or *transport* an engine
-configuration (the CLI, the background-job specs of :mod:`repro.jobs`, a
-benchmark matrix) uses :class:`EngineConfig`: a frozen, validated,
-JSON-round-trippable dataclass accepted by ``SweepEngine(config=...)``,
-:func:`~repro.experiments.sweeps.sweep` and ``sweep_many``, and reused
-verbatim as the ``engine`` section of a :class:`~repro.jobs.JobSpec`.
-
-Legacy keyword arguments keep working everywhere and override the
-matching config field; the two spellings are tested equivalent.
+:class:`EngineConfig` is the only way to configure a
+:class:`~repro.engine.engine.SweepEngine`.  It is frozen, validated and
+JSON-round-trippable, so the CLI, the background-job specs of
+:mod:`repro.jobs` (it is reused verbatim as the ``engine`` section of a
+:class:`~repro.jobs.JobSpec`) and a benchmark matrix all describe an
+engine the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.resilience import validate_on_error
-from repro.qbd.rmatrix import validate_algorithm
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.cache import SolveCache
@@ -31,46 +27,31 @@ __all__ = ["EngineConfig"]
 class EngineConfig:
     """Everything that shapes how a :class:`SweepEngine` executes.
 
-    The fields mirror the engine's keyword arguments one-to-one, except
-    that the cache is described by where it lives (``cache_dir`` for an
-    on-disk layer, ``cache_memory`` for a purely in-memory one) rather
-    than by a live :class:`~repro.engine.cache.SolveCache` object, so a
-    config can be serialized into a job spec or a manifest and rebuilt
-    elsewhere.  Validation happens at construction; an ``EngineConfig``
-    that exists is a valid engine configuration.
+    Every engine caches its solves in memory; ``cache_dir`` adds an
+    on-disk layer that persists across runs and processes.  The cache is
+    described by where it lives rather than by a live
+    :class:`~repro.engine.cache.SolveCache` object, so a config can be
+    serialized into a job spec or a manifest and rebuilt elsewhere.
+    Validation happens at construction; an ``EngineConfig`` that exists
+    is a valid engine configuration.
     """
 
     cache_dir: str | None = None
-    cache_memory: bool = False
     batched: bool = False
-    algorithm: str = "logarithmic-reduction"
-    tol: float = 1e-12
     on_error: str = "raise"
     escalate: bool = False
 
     def __post_init__(self) -> None:
-        validate_algorithm(self.algorithm)
-        if self.batched and self.algorithm != "logarithmic-reduction":
-            raise ValueError(
-                "batched solving supports only the logarithmic-reduction "
-                f"algorithm, got {self.algorithm!r}"
-            )
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
         validate_on_error(self.on_error)
 
     # ------------------------------------------------------------------
     # Derived objects
     # ------------------------------------------------------------------
-    def build_cache(self) -> "SolveCache | None":
-        """The :class:`SolveCache` this config describes (or ``None``)."""
+    def build_cache(self) -> "SolveCache":
+        """The :class:`SolveCache` this config describes."""
         from repro.engine.cache import SolveCache
 
-        if self.cache_dir is not None:
-            return SolveCache(self.cache_dir)
-        if self.cache_memory:
-            return SolveCache(None)
-        return None
+        return SolveCache(self.cache_dir)
 
     def build_engine(self, **hooks: Any) -> "SweepEngine":
         """A fresh :class:`SweepEngine` running under this config.
@@ -97,8 +78,8 @@ class EngineConfig:
     def from_dict(cls, payload: dict) -> "EngineConfig":
         """Rebuild a config serialized by :meth:`as_dict`.
 
-        Unknown keys raise: a config written by a newer schema must not
-        silently lose settings on an older reader.
+        Unknown keys raise, naming each one: a config written by another
+        schema must not silently lose settings on this reader.
         """
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
@@ -107,8 +88,3 @@ class EngineConfig:
                 f"unknown EngineConfig field(s): {', '.join(unknown)}"
             )
         return cls(**payload)
-
-    @property
-    def is_default(self) -> bool:
-        """True when every field still has its default value."""
-        return self == EngineConfig()

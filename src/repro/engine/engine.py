@@ -6,10 +6,11 @@ instances.  :class:`SweepEngine` exploits that structure two ways:
 * **caching** -- solutions are stored under a content hash of the model
   (see :meth:`FgBgModel.fingerprint`), so repeated points (across figures,
   or across runs with an on-disk cache) are never solved twice;
-* **batching** -- with ``batched=True`` the cache-miss models of a whole
-  sweep are grouped by QBD block shape and each group is solved in one
-  stacked kernel call (:mod:`repro.qbd.batched`), replacing N Python-level
-  solver loops with batched ``np.linalg`` primitives.
+* **batching** -- with ``EngineConfig(batched=True)`` the cache-miss
+  models of a whole sweep are grouped by QBD block shape and each group
+  is solved in one stacked kernel call (:mod:`repro.qbd.batched`),
+  replacing N Python-level solver loops with batched ``np.linalg``
+  primitives.
 
 Cached results are bit-identical to the solve that populated the entry;
 batched results agree with sequential results to solver tolerance
@@ -26,7 +27,6 @@ several :mod:`repro.jobs` workers on one queue.
 
 from __future__ import annotations
 
-import os
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 
@@ -36,14 +36,13 @@ from repro.contracts.errors import ContractViolation
 from repro.core.batched import solve_models_batched
 from repro.core.model import FgBgModel
 from repro.core.result import FgBgSolution
-from repro.engine.cache import SolveCache, solve_key
+from repro.engine.cache import solve_key
 from repro.engine.config import EngineConfig
 from repro.engine.resilience import (
     FailedSolve,
     ResilienceWarning,
     SweepCancelled,
     failure_from_exception,
-    validate_on_error,
 )
 from repro.engine.stats import BatchGroupRecord, EngineStats, SolveRecord
 from repro.qbd.rmatrix import QBDConvergenceError
@@ -61,48 +60,43 @@ _SOLVE_FAILURES = (
 )
 
 
-class SweepEngine:
+class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post_init__
     """Executes model solves for parameter sweeps.
 
     Parameters
     ----------
     config:
-        An :class:`~repro.engine.config.EngineConfig` supplying every
-        keyword below in one validated, serializable object.  Explicit
-        keyword arguments override the matching config field, so
-        ``SweepEngine(config=cfg, batched=True)`` is ``cfg`` solved
-        through the stacked kernel.  The resolved configuration is
-        exposed as :attr:`config`.
-    cache:
-        ``None`` (default) for no caching, a :class:`SolveCache`, or a
-        directory path for an on-disk cache shared across runs/processes.
-    batched:
-        Solve the cache-miss models of each :meth:`run_chain` /
-        :meth:`run_chains` call through the stacked kernel
-        (:mod:`repro.qbd.batched`): pending models are grouped by QBD
-        block shape and each group becomes one batched solve, recorded as
-        a :class:`~repro.engine.stats.BatchGroupRecord`.  Batched results
-        agree with sequential results to solver tolerance.  Requires the
-        default ``logarithmic-reduction`` algorithm.  Caching composes:
-        hits are served per model, only misses enter a batch.
-    algorithm, tol:
-        Passed through to :meth:`FgBgModel.solve`.
-    on_error:
-        ``"raise"`` (default) propagates the first solve failure --
-        the historical behavior.  ``"skip"`` and ``"collect"`` isolate
-        failures per point: the failed point's solution slot is ``None``
-        (NaN in any derived series) and every healthy point still solves.
-        ``"skip"`` emits a :class:`~repro.engine.resilience.ResilienceWarning`
-        per failure and records :class:`ContractViolation` failures in
-        :attr:`stats` ``.failures`` (a contract violation is never
-        silently swallowed); ``"collect"`` records *every* failure as a
-        structured :class:`~repro.engine.resilience.FailedSolve` and
-        warns about none of them.
-    escalate:
-        Enable the truncated dense-chain rung of the solver escalation
-        ladder (see :func:`repro.qbd.stationary.solve_qbd`); escalated
-        solves are flagged ``degraded`` in their
-        :class:`~repro.qbd.rmatrix.SolveStats`.
+        The :class:`~repro.engine.config.EngineConfig` to run under
+        (default: ``EngineConfig()``), exposed as :attr:`config`.  Its
+        fields:
+
+        * ``cache_dir`` -- every engine caches solves in memory
+          (:attr:`cache`); a directory adds an on-disk layer shared
+          across runs and processes.
+        * ``batched`` -- solve the cache-miss models of each
+          :meth:`run_chain` / :meth:`run_chains` call through the stacked
+          kernel (:mod:`repro.qbd.batched`): pending models are grouped
+          by QBD block shape and each group becomes one batched solve,
+          recorded as a :class:`~repro.engine.stats.BatchGroupRecord`.
+          Batched results agree with sequential results to solver
+          tolerance.  Caching composes: hits are served per model, only
+          misses enter a batch.
+        * ``on_error`` -- ``"raise"`` (default) propagates the first
+          solve failure.  ``"skip"`` and ``"collect"`` isolate failures
+          per point: the failed point's solution slot is ``None`` (NaN in
+          any derived series) and every healthy point still solves.
+          ``"skip"`` emits a
+          :class:`~repro.engine.resilience.ResilienceWarning` per failure
+          and records :class:`ContractViolation` failures in :attr:`stats`
+          ``.failures`` (a contract violation is never silently
+          swallowed); ``"collect"`` records *every* failure as a
+          structured :class:`~repro.engine.resilience.FailedSolve` and
+          warns about none of them.
+        * ``escalate`` -- enable the truncated dense-chain rung of the
+          solver escalation ladder (see
+          :func:`repro.qbd.stationary.solve_qbd`); escalated solves are
+          flagged ``degraded`` in their
+          :class:`~repro.qbd.rmatrix.SolveStats`.
     progress:
         Optional callback ``progress(points)`` invoked with the number of
         points just served (fresh solve, cache hit, or isolated failure).
@@ -120,43 +114,11 @@ class SweepEngine:
         self,
         config: EngineConfig | None = None,
         *,
-        cache: SolveCache | str | os.PathLike | None = None,
-        batched: bool | None = None,
-        algorithm: str | None = None,
-        tol: float | None = None,
-        on_error: str | None = None,
-        escalate: bool | None = None,
         progress: Callable[[int], None] | None = None,
         cancel: Callable[[], bool] | None = None,
     ) -> None:
-        overrides = {
-            name: value
-            for name, value in (
-                ("batched", batched),
-                ("algorithm", algorithm),
-                ("tol", tol),
-                ("on_error", on_error),
-                ("escalate", escalate),
-            )
-            if value is not None
-        }
-        if cache is not None and not isinstance(cache, SolveCache):
-            cache = SolveCache(cache)
-        if cache is not None:
-            directory = cache.directory
-            overrides["cache_dir"] = (
-                None if directory is None else str(directory)
-            )
-            overrides["cache_memory"] = directory is None
-        base = config if config is not None else EngineConfig()
-        # replace() re-runs EngineConfig validation over the merged fields.
-        self.config = base.replace(**overrides) if overrides else base
-        self.cache = cache if cache is not None else self.config.build_cache()
-        self.batched = self.config.batched
-        self.algorithm = self.config.algorithm
-        self.tol = self.config.tol
-        self.on_error = validate_on_error(self.config.on_error)
-        self.escalate = self.config.escalate
+        self.config = config if config is not None else EngineConfig()
+        self.cache = self.config.build_cache()
         self.progress = progress
         self.cancel = cancel
         self.stats = EngineStats()
@@ -182,9 +144,9 @@ class SweepEngine:
 
         Callers only reach this in ``"skip"``/``"collect"`` mode.
         """
-        if self.on_error == "collect" or failure.contract_violation:
+        if self.config.on_error == "collect" or failure.contract_violation:
             self.stats.add_failure(failure)
-        if self.on_error == "skip":
+        if self.config.on_error == "skip":
             warnings.warn(str(failure), ResilienceWarning, stacklevel=3)
 
     # ------------------------------------------------------------------
@@ -195,8 +157,6 @@ class SweepEngine:
         recorded as a ``"cache-load"`` failure (in *every* ``on_error``
         mode -- the point is re-solved, so nothing is lost), and treated
         as a miss."""
-        if self.cache is None:
-            return None
         try:
             return self.cache.get(key)
         except ContractViolation as exc:
@@ -208,7 +168,7 @@ class SweepEngine:
                 fingerprint, exc, stage="cache-load", attempts=attempts
             )
             self.stats.add_failure(failure)
-            if self.on_error == "skip":
+            if self.config.on_error == "skip":
                 warnings.warn(
                     f"corrupt cache entry quarantined; re-solving: {failure}",
                     ResilienceWarning,
@@ -226,7 +186,7 @@ class SweepEngine:
         """
         self._check_cancelled()
         fingerprint = model.fingerprint()
-        key = solve_key(fingerprint, self.algorithm, self.tol)
+        key = solve_key(fingerprint)
         cached = self._cache_lookup(key, fingerprint)
         if cached is not None:
             self.stats.add(
@@ -235,21 +195,16 @@ class SweepEngine:
             self._tick()
             return cached
         try:
-            solution = model.solve(
-                algorithm=self.algorithm,
-                tol=self.tol,
-                escalate=self.escalate,
-            )
+            solution = model.solve(escalate=self.config.escalate)
         except _SOLVE_FAILURES as exc:
-            if self.on_error == "raise":
+            if self.config.on_error == "raise":
                 raise
             self._record_failure(
                 failure_from_exception(fingerprint, exc, stage="solve")
             )
             self._tick()
             return None
-        if self.cache is not None:
-            self.cache.put(key, solution)
+        self.cache.put(key, solution)
         self.stats.add(
             SolveRecord(fingerprint, cache_hit=False, stats=solution.solve_stats)
         )
@@ -279,10 +234,7 @@ class SweepEngine:
         models = list(models)
         if not models:
             return []
-        keys = [
-            solve_key(m.fingerprint(), self.algorithm, self.tol)
-            for m in models
-        ]
+        keys = [solve_key(m.fingerprint()) for m in models]
         served: dict[str, FgBgSolution | None] = {}
         pending: dict[str, FgBgModel] = {}
         for model, key in zip(models, keys):
@@ -298,10 +250,9 @@ class SweepEngine:
             pending_models = list(pending.values())
             solutions, reports = solve_models_batched(
                 pending_models,
-                tol=self.tol,
                 return_reports=True,
-                on_error=self.on_error,
-                escalate=self.escalate,
+                on_error=self.config.on_error,
+                escalate=self.config.escalate,
             )
             for report in reports:
                 self.stats.add_batch_group(
@@ -323,7 +274,7 @@ class SweepEngine:
                         )
                     )
             for key, solution in zip(pending_keys, solutions):
-                if solution is not None and self.cache is not None:
+                if solution is not None:
                     self.cache.put(key, solution)
                 served[key] = solution
         fresh_remaining = set(pending)
@@ -352,11 +303,11 @@ class SweepEngine:
     ) -> list[FgBgSolution | None]:
         """Solve a sequence of models, returning solutions in input order.
 
-        With :attr:`batched` on, the models go to :meth:`solve_batch`;
+        With ``config.batched`` on, the models go to :meth:`solve_batch`;
         otherwise each is handed to :meth:`solve` in turn.  Failed points
         (isolated by ``on_error``) are ``None`` slots.
         """
-        if self.batched:
+        if self.config.batched:
             return self.solve_batch(models)
         return [self.solve(model) for model in models]
 
@@ -379,8 +330,4 @@ class SweepEngine:
         return results
 
     def __repr__(self) -> str:
-        return (
-            f"SweepEngine(cache={self.cache!r}, batched={self.batched}, "
-            f"algorithm={self.algorithm!r}, tol={self.tol:g}, "
-            f"on_error={self.on_error!r}, escalate={self.escalate})"
-        )
+        return f"SweepEngine({self.config!r}, cache={self.cache!r})"

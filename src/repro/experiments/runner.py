@@ -15,21 +15,14 @@ from repro.experiments.render import render_result
 __all__ = ["build_config", "execute_figure", "main"]
 
 
-def build_config(args) -> EngineConfig | None:
-    """The run's :class:`EngineConfig`, or ``None`` for plain solving.
-
-    ``None`` (every knob at its default, no cache requested) keeps the
-    figure functions on their historical no-engine path, which the
-    byte-comparison record in EXPERIMENTS.md was made against.
-    """
-    config = EngineConfig(
-        cache_dir=args.cache or None,
-        cache_memory=args.cache == "",
+def build_config(args) -> EngineConfig:
+    """The run's :class:`EngineConfig`, from the parsed CLI options."""
+    return EngineConfig(
+        cache_dir=args.cache,
         batched=args.batched,
         on_error=args.on_error,
         escalate=args.escalate,
     )
-    return None if config.is_default else config
 
 
 def execute_figure(name, engine=None) -> str:
@@ -65,13 +58,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cache",
-        nargs="?",
-        const="",
         default=None,
         metavar="DIR",
-        help="cache solves in memory across figures; with DIR, also "
-        "persist them on disk across runs (and record per-figure "
-        "completion in DIR/run-manifest.json for --resume)",
+        help="persist solves on disk in DIR across runs (solves are "
+        "always shared in memory across the figures of one run), and "
+        "record per-figure completion in DIR/run-manifest.json for "
+        "--resume",
     )
     parser.add_argument(
         "--batched",
@@ -118,7 +110,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "without re-solving (the job-queue form of --resume)",
     )
     args = parser.parse_args(argv)
-    if args.resume and args.cache in (None, ""):
+    if args.resume and args.cache is None:
         parser.error("--resume needs an on-disk cache: pass --cache DIR")
     if args.via_jobs is not None and args.resume:
         parser.error("--via-jobs replays completed jobs itself; drop --resume")
@@ -138,10 +130,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     # With an on-disk cache the run keeps a crash-safe manifest next to
     # it, whether or not this invocation resumes -- the *next* one might.
     manifest = None
-    if args.cache not in (None, ""):
+    if args.cache is not None:
         manifest = RunManifest.in_cache_dir(args.cache)
 
-    engine = None if config is None else config.build_engine()
+    # One engine for the whole run: figures that share points (5-8, 9-10,
+    # 11-13) solve each distinct model once.
+    engine = config.build_engine()
     exit_code = 0
     for name in requested:
         if args.resume and manifest is not None:

@@ -4,8 +4,8 @@ The generic entry point is :func:`sweep`: a base model, a
 :class:`SweepAxis` describing which parameter varies, and a metric (a
 string key of :data:`repro.core.METRICS` or a callable).  Solves are
 executed through a :class:`~repro.engine.SweepEngine`, which supplies
-caching and, with ``batched=True``, stacked solves that pool every curve
-of a :func:`sweep_many` call.
+caching and, configured with ``batched=True``, stacked solves that pool
+every curve of a :func:`sweep_many` call.
 
 The pre-engine entry points ``load_sweep_series`` and
 ``idle_wait_sweep_series`` were removed when the engine landed; their
@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.metrics import resolve_metric
 from repro.core.model import FgBgModel
 from repro.core.result import FgBgSolution
-from repro.engine.config import EngineConfig
 from repro.engine.engine import SweepEngine
 from repro.experiments.result import Series
 
@@ -105,54 +104,26 @@ def _series_values(
     )
 
 
-def _build_engine(
-    config: EngineConfig | None,
-    *,
-    batched: bool,
-    on_error: str,
-) -> SweepEngine:
-    """Engine for a sweep call that did not supply one.
-
-    The legacy per-call knobs win over ``config`` only when moved off
-    their defaults, so ``sweep(..., config=cfg)`` runs exactly ``cfg``
-    and ``sweep(..., config=cfg, batched=True)`` runs ``cfg`` batched.
-    """
-    overrides: dict[str, object] = {}
-    if batched:
-        overrides["batched"] = True
-    if on_error != "raise":
-        overrides["on_error"] = on_error
-    return SweepEngine(config=config, **overrides)
-
-
 def sweep(
     base_model: FgBgModel,
     axis: SweepAxis,
     metric: str | Callable[[FgBgSolution], float],
     *,
     engine: SweepEngine | None = None,
-    config: EngineConfig | None = None,
     label: str | None = None,
-    batched: bool = False,
-    on_error: str = "raise",
 ) -> Series:
     """Evaluate one metric along one axis; returns one :class:`Series`.
 
     ``metric`` is a key of :data:`repro.core.METRICS` (e.g. ``"qlen_fg"``)
-    or any callable on :class:`FgBgSolution`.  ``batched=True`` without an
-    explicit engine solves the whole axis through the stacked kernel
-    (:class:`SweepEngine` with ``batched=True``); with an engine supplied,
-    the engine's own configuration wins.  ``config`` builds the engine
-    from a full :class:`~repro.engine.EngineConfig` instead (the job
-    layer's spec path); ``batched``/``on_error`` still override it when
-    set away from their defaults.  ``on_error`` (likewise only consulted
-    when no engine is supplied) isolates per-point failures: failed
-    points are NaN in the series instead of sinking the sweep (see
+    or any callable on :class:`FgBgSolution`.  The solves run on
+    ``engine`` (default: a fresh ``SweepEngine()``); its
+    :class:`~repro.engine.EngineConfig` decides batching and whether a
+    failed point raises or becomes NaN in the series (see
     :mod:`repro.engine.resilience`).
     """
     metric_fn = resolve_metric(metric)
     if engine is None:
-        engine = _build_engine(config, batched=batched, on_error=on_error)
+        engine = SweepEngine()
     solutions = engine.run_chain(axis.models(base_model))
     return Series(
         label=axis.name if label is None else label,
@@ -168,22 +139,16 @@ def sweep_many(
     bg_probabilities: Sequence[float],
     *,
     engine: SweepEngine | None = None,
-    config: EngineConfig | None = None,
-    batched: bool = False,
-    on_error: str = "raise",
 ) -> list[Series]:
     """One curve per background probability along ``axis``.
 
-    Each probability is one chain of :meth:`SweepEngine.run_chains`;
-    ``batched=True`` (without an explicit engine) pools every curve's
-    points into stacked kernel calls.  ``config`` builds the engine from a full
-    :class:`~repro.engine.EngineConfig` (see :func:`sweep`).  ``on_error``
-    (also only consulted when no engine is supplied) isolates per-point
-    failures as NaN, exactly as in :func:`sweep`.
+    Each probability is one chain of :meth:`SweepEngine.run_chains`, so a
+    batched engine pools every curve's points into stacked kernel calls.
+    ``engine`` defaults to a fresh ``SweepEngine()``, as in :func:`sweep`.
     """
     metric_fn = resolve_metric(metric)
     if engine is None:
-        engine = _build_engine(config, batched=batched, on_error=on_error)
+        engine = SweepEngine()
     chains = [
         axis.models(base_model.with_bg_probability(p)) for p in bg_probabilities
     ]

@@ -75,7 +75,7 @@ class JobService:
         """
         config = config if config is not None else EngineConfig()
         cache_dir = self.repository.cache_dir
-        if cache_dir is not None and config.cache_dir is None and not config.cache_memory:
+        if cache_dir is not None and config.cache_dir is None:
             config = config.replace(cache_dir=cache_dir)
         return config
 

@@ -18,7 +18,7 @@ Python overhead is paid once per *batch* instead of once per *point*:
   (``pi_1 (I-R)^{-1}``, ``pi_1 (I-R)^{-2}``) feeding the per-item
   :class:`~repro.qbd.stationary.QBDStationaryDistribution` objects.
 
-The batched path skips the a-priori (networkx-based) drift check of the
+The batched path skips the a-priori closed-class drift check of the
 scalar path: an unstable item cannot converge to a stochastic ``G``, so it
 lands in the scalar fallback, which performs the drift diagnosis and
 raises the same ``ValueError`` a sequential solve would.  Accepted items

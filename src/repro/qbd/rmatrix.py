@@ -22,7 +22,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.contracts.checks import (
@@ -191,19 +190,31 @@ class SolveStats:
 def _closed_classes(a: np.ndarray) -> list[np.ndarray]:
     """Indices of the closed communicating classes of generator ``a``.
 
-    A closed class is a strongly connected component with no transition
-    leaving it; the long-run phase process lives on these classes only.
+    A closed class is a communicating class with no transition leaving
+    it; the long-run phase process lives on these classes only.  The
+    reachability relation comes from repeatedly squaring the 0/1
+    transition pattern (with self-loops) as a float matrix product, so
+    after ``k`` squarings it covers every path of up to ``2**k`` steps.
+    Two states communicate when each reaches the other; a class is closed
+    when its members reach nothing but the class itself.  Classes come
+    back sorted, in order of their smallest index.
     """
+    n = a.shape[0]
     scale = max(float(np.max(np.abs(np.diag(a)))), 1.0)
-    adjacency = (a > 1e-14 * scale)
-    np.fill_diagonal(adjacency, False)
-    graph = nx.from_numpy_array(adjacency, create_using=nx.DiGraph)
+    reach = (a > 1e-14 * scale).astype(float)
+    np.fill_diagonal(reach, 1.0)
+    span = 1
+    while span < n - 1:
+        reach = (reach @ reach > 0.0).astype(float)
+        span *= 2
+    reachable = reach > 0.0
+    mutual = reachable & reachable.T
     closed = []
-    for component in nx.strongly_connected_components(graph):
-        indices = np.fromiter(component, dtype=int)
-        outside = np.setdiff1d(np.arange(a.shape[0]), indices)
-        if outside.size == 0 or not np.any(adjacency[np.ix_(indices, outside)]):
-            closed.append(np.sort(indices))
+    assigned = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero((reachable == mutual).all(axis=1)):
+        if not assigned[i]:
+            assigned |= mutual[i]
+            closed.append(np.flatnonzero(mutual[i]))
     return closed
 
 

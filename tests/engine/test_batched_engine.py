@@ -5,12 +5,13 @@ import pytest
 
 from repro.core.batched import solve_models_batched
 from repro.core.model import FgBgModel
-from repro.engine import BatchGroupRecord, SolveCache, SweepEngine
+from repro.engine import BatchGroupRecord, EngineConfig, SweepEngine
 from repro.processes import fit_mmpp2
 from repro.qbd.batched import BatchedSolveReport
 from repro.workloads.paper import SERVICE_RATE_PER_MS
 
 MU = SERVICE_RATE_PER_MS
+BATCHED = EngineConfig(batched=True)
 
 
 def mmpp_base(util: float = 0.3) -> FgBgModel:
@@ -68,14 +69,14 @@ class TestBatchedEngine:
     def test_run_chain_matches_sequential_engine(self):
         models = sweep_models()
         sequential = SweepEngine().run_chain(models)
-        batched = SweepEngine(batched=True).run_chain(models)
+        batched = SweepEngine(BATCHED).run_chain(models)
         for s, b in zip(sequential, batched):
             assert b.fg_response_time == pytest.approx(
                 s.fg_response_time, abs=1e-10
             )
 
     def test_records_batch_groups(self):
-        engine = SweepEngine(batched=True)
+        engine = SweepEngine(BATCHED)
         engine.run_chain(sweep_models(ps=(0.0, 0.3)))
         assert len(engine.stats.batch_groups) == 2
         for group in engine.stats.batch_groups:
@@ -93,7 +94,7 @@ class TestBatchedEngine:
         assert len(shapes) == 2
 
     def test_cache_hits_skip_the_kernel(self):
-        engine = SweepEngine(batched=True, cache=SolveCache())
+        engine = SweepEngine(BATCHED)
         models = sweep_models()
         engine.run_chain(models)
         groups_after_first = len(engine.stats.batch_groups)
@@ -103,7 +104,7 @@ class TestBatchedEngine:
         assert engine.stats.solver_calls == len(models)
 
     def test_duplicates_solved_once(self):
-        engine = SweepEngine(batched=True)
+        engine = SweepEngine(BATCHED)
         model = mmpp_base()
         solutions = engine.run_chain([model, model, model])
         assert engine.stats.solves == 3
@@ -117,7 +118,7 @@ class TestBatchedEngine:
             [base.with_bg_probability(p).at_utilization(u) for u in (0.2, 0.4)]
             for p in (0.1, 0.3, 0.6)
         ]
-        engine = SweepEngine(batched=True)
+        engine = SweepEngine(BATCHED)
         results = engine.run_chains(chains)
         assert [len(r) for r in results] == [2, 2, 2]
         # One shape, one pooled kernel call for all six points.
@@ -131,7 +132,7 @@ class TestBatchedEngine:
                 )
 
     def test_batch_groups_survive_summary(self):
-        engine = SweepEngine(batched=True)
+        engine = SweepEngine(BATCHED)
         engine.run_chain(sweep_models(utils=(0.2, 0.4)))
         summary = engine.stats.summary()
         assert "batch_groups" in summary
@@ -140,20 +141,17 @@ class TestBatchedEngine:
         assert "batch_groups" not in engine.stats.summary()
 
     def test_solve_batch_empty(self):
-        assert SweepEngine(batched=True).solve_batch([]) == []
-
-    def test_batched_requires_logred(self):
-        with pytest.raises(ValueError, match="logarithmic-reduction"):
-            SweepEngine(batched=True, algorithm="functional")
+        assert SweepEngine(BATCHED).solve_batch([]) == []
 
     def test_repr_mentions_batched(self):
-        assert "batched=True" in repr(SweepEngine(batched=True))
+        assert "batched=True" in repr(SweepEngine(BATCHED))
 
-    def test_batched_populates_cache_for_sequential_reads(self):
-        cache_engine = SweepEngine(batched=True, cache=SolveCache())
+    def test_batched_populates_cache_for_sequential_reads(self, tmp_path):
+        cache_dir = str(tmp_path / "solves")
+        cache_engine = SweepEngine(EngineConfig(cache_dir=cache_dir, batched=True))
         models = sweep_models(utils=(0.2, 0.3))
         batched = cache_engine.run_chain(models)
-        follower = SweepEngine(cache=cache_engine.cache)
+        follower = SweepEngine(EngineConfig(cache_dir=cache_dir))
         sequential = follower.run_chain(models)
         assert follower.stats.cache_hits == len(models)
         for s, b in zip(sequential, batched):

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.core import FgBgModel
-from repro.engine import SolveCache, SweepEngine, solve_key
+from repro.engine import EngineConfig, SolveCache, SweepEngine, solve_key
 from repro.processes import PoissonProcess
 
 MU = 1 / 6.0
@@ -57,7 +57,7 @@ class TestSolveKey:
         legacy = tmp_path / f"{h.hexdigest()}.pkl"
         legacy.write_bytes(pickle.dumps(model(p=0.6).solve()))
 
-        engine = SweepEngine(cache=tmp_path)
+        engine = SweepEngine(EngineConfig(cache_dir=str(tmp_path)))
         solution = engine.solve(m)
         assert solution.as_dict() == pytest.approx(m.solve().as_dict(), nan_ok=True)
         assert engine.stats.cache_hits == 0

@@ -27,29 +27,27 @@ def summary_without_timings(stats) -> dict:
 
 class TestValidation:
     def test_defaults_are_valid_and_default(self):
-        config = EngineConfig()
-        assert config.is_default
-        assert not EngineConfig(batched=True).is_default
+        # Four fields, no more: every other engine setting has one value.
+        assert EngineConfig().as_dict() == {
+            "cache_dir": None,
+            "batched": False,
+            "on_error": "raise",
+            "escalate": False,
+        }
 
     @pytest.mark.parametrize(
         ("field", "value", "match"),
         [
-            ("tol", 0.0, "tol must be positive"),
             ("on_error", "explode", "on_error must be one of"),
-            ("algorithm", "bogus", "unknown algorithm 'bogus'"),
         ],
     )
     def test_field_validation(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             EngineConfig(**{field: value})
 
-    def test_batched_requires_logred(self):
-        with pytest.raises(ValueError, match="logarithmic-reduction"):
-            EngineConfig(batched=True, algorithm="functional")
-
     def test_replace_revalidates(self):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            EngineConfig().replace(tol=0.0)
+        with pytest.raises(ValueError, match="on_error must be one of"):
+            EngineConfig().replace(on_error="explode")
 
     def test_round_trip(self):
         config = EngineConfig(
@@ -63,11 +61,9 @@ class TestValidation:
 
 
 class TestBuildCache:
-    def test_no_cache_by_default(self):
-        assert EngineConfig().build_cache() is None
-
     def test_memory_cache(self):
-        cache = EngineConfig(cache_memory=True).build_cache()
+        # Every engine caches in memory; no directory means no disk layer.
+        cache = EngineConfig().build_cache()
         assert isinstance(cache, SolveCache)
         assert cache.directory is None
 
@@ -77,51 +73,37 @@ class TestBuildCache:
 
 
 class TestEquivalence:
-    """config= and legacy kwargs are two spellings of the same engine."""
+    """config.build_engine() and SweepEngine(config) are one engine."""
 
     def test_engine_attributes_match(self):
         config = EngineConfig(batched=True, on_error="collect")
-        via_config = SweepEngine(config=config)
-        via_kwargs = SweepEngine(batched=True, on_error="collect")
-        assert via_config.config == via_kwargs.config
-        assert (via_config.batched, via_config.on_error) == (
-            via_kwargs.batched,
-            via_kwargs.on_error,
-        )
+        via_init = SweepEngine(config)
+        via_build = config.build_engine()
+        assert via_init.config == via_build.config == config
+        assert via_init.cache is not via_build.cache
 
     def test_identical_engine_stats(self):
         """The acceptance check: same chain, same stats summary."""
         chain = models()
-        via_config = SweepEngine(config=EngineConfig(cache_memory=True))
-        via_kwargs = SweepEngine(cache=SolveCache(None))
-        a = via_config.run_chain(chain)
-        b = via_kwargs.run_chain(chain)
+        via_init = SweepEngine(EngineConfig())
+        via_build = EngineConfig().build_engine()
+        a = via_init.run_chain(chain)
+        b = via_build.run_chain(chain)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(
                 [x.fg_queue_length, x.bg_queue_length],
                 [y.fg_queue_length, y.bg_queue_length],
             )
-        assert summary_without_timings(via_config.stats) == summary_without_timings(
-            via_kwargs.stats
+        assert summary_without_timings(via_init.stats) == summary_without_timings(
+            via_build.stats
         )
-
-    def test_kwargs_override_config_fields(self):
-        engine = SweepEngine(
-            config=EngineConfig(batched=True, on_error="skip"), batched=False
-        )
-        assert not engine.batched
-        assert engine.on_error == "skip"
-        assert not engine.config.batched
-
-    def test_explicit_cache_object_wins(self, tmp_path):
-        cache = SolveCache(str(tmp_path / "c"))
-        engine = SweepEngine(config=EngineConfig(), cache=cache)
-        assert engine.cache is cache
-        assert engine.config.cache_dir == str(tmp_path / "c")
 
     def test_invalid_override_rejected(self):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            SweepEngine(config=EngineConfig(), tol=0.0)
+        # The config is the only way in: the keyword spellings of its
+        # fields (and the removed solver settings) are not arguments.
+        for name in ("cache", "batched", "algorithm", "tol", "on_error", "escalate"):
+            with pytest.raises(TypeError, match=name):
+                SweepEngine(config=EngineConfig(), **{name: None})
 
 
 class TestHooks:
@@ -132,12 +114,11 @@ class TestHooks:
         assert sum(ticks) == 3
 
     def test_progress_counts_cache_hits(self):
-        cache = SolveCache(None)
-        SweepEngine(cache=cache).run_chain(models(3))
         ticks = []
-        engine = SweepEngine(cache=cache, progress=ticks.append)
+        engine = SweepEngine(progress=ticks.append)
         engine.run_chain(models(3))
-        assert sum(ticks) == 3
+        engine.run_chain(models(3))
+        assert sum(ticks) == 6
         assert engine.stats.cache_hits == 3
 
     def test_progress_ticks_across_chains(self):
@@ -149,7 +130,7 @@ class TestHooks:
 
     def test_progress_ticks_when_batched(self):
         ticks = []
-        engine = SweepEngine(batched=True, progress=ticks.append)
+        engine = SweepEngine(EngineConfig(batched=True), progress=ticks.append)
         engine.run_chain(models(3))
         assert sum(ticks) == 3
 
@@ -172,7 +153,7 @@ class TestHooks:
 
     def test_cancel_never_becomes_a_nan_point(self):
         """SweepCancelled must not be swallowed by on_error isolation."""
-        engine = SweepEngine(on_error="collect", cancel=lambda: True)
+        engine = SweepEngine(EngineConfig(on_error="collect"), cancel=lambda: True)
         with pytest.raises(SweepCancelled):
             engine.run_chain(models(2))
         assert engine.stats.failures == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FgBgModel
-from repro.engine import SolveCache, SweepEngine
+from repro.engine import EngineConfig, SolveCache, SweepEngine
 from repro.processes import PoissonProcess, fit_mmpp2
 from repro.workloads.paper import SERVICE_RATE_PER_MS
 
@@ -33,7 +33,7 @@ class TestSolve:
         assert engine.stats.cache_hits == 0
 
     def test_cache_hit_returns_same_object(self):
-        engine = SweepEngine(cache=SolveCache())
+        engine = SweepEngine()
         model = mmpp_base()
         first = engine.solve(model)
         second = engine.solve(model)
@@ -42,20 +42,20 @@ class TestSolve:
         assert engine.stats.solver_calls == 1
 
     def test_cache_distinguishes_models(self):
-        engine = SweepEngine(cache=SolveCache())
+        engine = SweepEngine()
         engine.solve(mmpp_base(p=0.3))
         engine.solve(mmpp_base(p=0.6))
         assert engine.stats.cache_hits == 0
         assert engine.stats.solver_calls == 2
 
     def test_cache_path_is_coerced(self, tmp_path):
-        engine = SweepEngine(cache=tmp_path / "solves")
+        engine = SweepEngine(EngineConfig(cache_dir=str(tmp_path / "solves")))
         assert isinstance(engine.cache, SolveCache)
         engine.solve(mmpp_base())
         assert len(list((tmp_path / "solves").iterdir())) == 1
 
     def test_removed_executor_kwargs_rejected(self):
-        for kwarg in ("jobs", "max_retries"):
+        for kwarg in ("jobs", "max_retries", "cache", "algorithm", "tol"):
             with pytest.raises(TypeError, match=kwarg):
                 SweepEngine(**{kwarg: 1})
 
@@ -68,7 +68,7 @@ class TestRunChain:
             assert solution.fg_queue_length == model.solve().fg_queue_length
 
     def test_cached_rerun_solves_nothing(self):
-        engine = SweepEngine(cache=SolveCache())
+        engine = SweepEngine()
         engine.run_chain(chain())
         engine.run_chain(chain())
         assert engine.stats.solver_calls == len(UTILIZATIONS)
@@ -90,8 +90,8 @@ class TestRunChains:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_chains_identical_to_one_flat_chain(self, batched):
-        split = SweepEngine(batched=batched).run_chains(self.chains())
-        flat = SweepEngine(batched=batched).run_chain(
+        split = SweepEngine(EngineConfig(batched=batched)).run_chains(self.chains())
+        flat = SweepEngine(EngineConfig(batched=batched)).run_chain(
             [model for models in self.chains() for model in models]
         )
         assert [len(c) for c in split] == [len(UTILIZATIONS)] * 3
@@ -107,16 +107,16 @@ class TestRunChains:
         assert engine.stats.total_iterations > 0
 
     def test_chains_populate_cache(self):
-        engine = SweepEngine(cache=SolveCache())
+        engine = SweepEngine()
         engine.run_chains(self.chains())
         rerun = engine.run_chains(self.chains())
         assert engine.stats.cache_hits >= 3 * len(UTILIZATIONS)
         assert len(rerun) == 3
 
     def test_chains_share_disk_cache(self, tmp_path):
-        first = SweepEngine(cache=tmp_path)
+        first = SweepEngine(EngineConfig(cache_dir=str(tmp_path)))
         first.run_chains(self.chains())
-        second = SweepEngine(cache=tmp_path)
+        second = SweepEngine(EngineConfig(cache_dir=str(tmp_path)))
         second.run_chains(self.chains())
         assert second.stats.solver_calls == 0
         assert second.stats.cache_hits == 3 * len(UTILIZATIONS)

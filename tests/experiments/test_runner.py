@@ -1,11 +1,18 @@
 """Tests for the CLI runner."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.core.model import FgBgModel
 from repro.engine import EngineConfig
 from repro.experiments.runner import build_config, execute_figure, main
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestRunner:
@@ -33,6 +40,22 @@ class TestRunner:
         out = capsys.readouterr().out
         assert "fig2" in out and "fig9" in out
 
+    def test_each_distinct_model_solved_once_per_run(self, monkeypatch, capsys):
+        # Figures 5 and 6 sweep the same points for different metrics;
+        # one run shares one engine, so the second figure is all hits.
+        solved = []
+        fresh_solve = FgBgModel.solve
+
+        def counting_solve(model, *args, **kwargs):
+            solved.append(model.fingerprint())
+            return fresh_solve(model, *args, **kwargs)
+
+        monkeypatch.setattr(FgBgModel, "solve", counting_solve)
+        assert main(["fig5", "fig6"]) == 0
+        assert "fig6" in capsys.readouterr().out
+        assert solved
+        assert len(solved) == len(set(solved))
+
 
 class TestEngineFlags:
     def test_batched_output_identical_to_serial(self, capsys):
@@ -41,9 +64,19 @@ class TestEngineFlags:
         assert main(["fig9", "--batched"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_cache_flag_in_memory(self, capsys):
-        assert main(["fig9", "fig9", "--cache"]) == 0
-        assert "fig9" in capsys.readouterr().out
+    def test_cache_flag_requires_a_directory(self):
+        # Solves are always shared in memory; --cache only names the
+        # on-disk layer, so a bare --cache is a usage error.
+        proc = subprocess.run(  # noqa: RL003 -- subprocess timeout is seconds by stdlib contract
+            [sys.executable, "-m", "repro.experiments", "fig9", "--cache"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr
+        assert "--cache: expected one argument" in proc.stderr
 
     def test_cache_flag_with_directory(self, tmp_path, capsys):
         cache_dir = tmp_path / "solves"
@@ -60,9 +93,9 @@ class TestEngineFlags:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_engine_flags_ignored_for_table_figures(self, capsys):
+    def test_engine_flags_ignored_for_table_figures(self, tmp_path, capsys):
         # fig2 takes no engine; the flags must not break it.
-        assert main(["fig2", "--batched", "--cache"]) == 0
+        assert main(["fig2", "--batched", "--cache", str(tmp_path)]) == 0
         assert "fig2" in capsys.readouterr().out
 
 
@@ -81,21 +114,16 @@ def parsed(*flags) -> argparse.Namespace:
 
 
 class TestBuildConfig:
-    def test_all_defaults_is_none(self):
-        # None keeps figures on the historical no-engine path.
-        assert build_config(parsed()) is None
+    def test_all_defaults_is_the_default_config(self):
+        assert build_config(parsed()) == EngineConfig()
 
     def test_any_flag_builds_a_config(self):
         config = build_config(parsed(("batched", True)))
         assert config == EngineConfig(batched=True)
 
-    def test_memory_cache_spelling(self):
-        config = build_config(parsed(("cache", "")))
-        assert config.cache_memory and config.cache_dir is None
-
     def test_disk_cache_spelling(self, tmp_path):
         config = build_config(parsed(("cache", str(tmp_path))))
-        assert config.cache_dir == str(tmp_path) and not config.cache_memory
+        assert config == EngineConfig(cache_dir=str(tmp_path))
 
 
 class TestExecuteFigure:
@@ -105,8 +133,7 @@ class TestExecuteFigure:
         assert capsys.readouterr().out == rendered + "\n\n"
 
     def test_engine_reaches_sweep_figures(self):
-        config = EngineConfig(cache_memory=True)
-        engine = config.build_engine()
+        engine = EngineConfig().build_engine()
         rendered = execute_figure("fig9", engine=engine)
         assert rendered == execute_figure("fig9")
         assert engine.stats.solves > 0

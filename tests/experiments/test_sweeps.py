@@ -95,21 +95,22 @@ class TestSweep:
         assert engine.stats.solves == 2
 
     def test_config_builds_the_engine(self):
-        """sweep(config=...) is equivalent to passing the built engine."""
+        """An engine built from a config runs the sweep like the default."""
         args = (poisson_base(), utilization_axis([0.2, 0.4]), "qlen_fg")
-        via_config = sweep(*args, config=EngineConfig(cache_memory=True))
-        via_engine = sweep(*args, engine=EngineConfig(cache_memory=True).build_engine())
-        np.testing.assert_array_equal(via_config.y, via_engine.y)
+        engine = EngineConfig(on_error="collect").build_engine()
+        via_engine = sweep(*args, engine=engine)
+        np.testing.assert_array_equal(via_engine.y, sweep(*args).y)
+        assert engine.stats.solves == 2
 
-    def test_legacy_knobs_override_config(self):
-        series = sweep(
-            poisson_base(),
-            utilization_axis([0.2]),
-            "qlen_fg",
-            config=EngineConfig(on_error="raise"),
-            on_error="collect",
-        )
-        assert series.y.shape == (1,)
+    @pytest.mark.parametrize("knob", ["config", "batched", "on_error"])
+    def test_engine_knobs_are_not_keywords(self, knob):
+        """The engine's settings reach sweep()/sweep_many() only through
+        the engine itself."""
+        args = (poisson_base(), utilization_axis([0.2]), "qlen_fg")
+        with pytest.raises(TypeError, match=knob):
+            sweep(*args, **{knob: None})
+        with pytest.raises(TypeError, match=knob):
+            sweep_many(*args, bg_probabilities=[0.1], **{knob: None})
 
 
 class TestSweepMany:
@@ -129,19 +130,10 @@ class TestSweepMany:
         batched = sweep_many(
             *args,
             bg_probabilities=[0.1, 0.6, 0.9],
-            engine=SweepEngine(batched=True),
+            engine=SweepEngine(EngineConfig(batched=True)),
         )
         for s, b in zip(serial, batched):
             np.testing.assert_allclose(b.y, s.y, rtol=1e-9)
-
-    def test_config_identical_to_legacy(self):
-        args = (poisson_base(), utilization_axis([0.2, 0.4]), "qlen_fg")
-        legacy = sweep_many(*args, bg_probabilities=[0.1, 0.9])
-        via_config = sweep_many(
-            *args, bg_probabilities=[0.1, 0.9], config=EngineConfig()
-        )
-        for lhs, rhs in zip(legacy, via_config):
-            np.testing.assert_array_equal(lhs.y, rhs.y)
 
 
 class TestLoadSweep:

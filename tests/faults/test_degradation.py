@@ -14,6 +14,7 @@ import pytest
 from repro import faults
 from repro.core import FgBgModel
 from repro.engine import (
+    EngineConfig,
     ResilienceWarning,
     SolveCache,
     SweepEngine,
@@ -124,7 +125,10 @@ class TestEngineIsolation:
         with faults.inject("singular_boundary:after=1:limit=1"):
             with pytest.warns(ResilienceWarning):
                 got = sweep(
-                    base_model, axis, "fg_response_time", on_error="skip"
+                    base_model,
+                    axis,
+                    "fg_response_time",
+                    engine=SweepEngine(EngineConfig(on_error="skip")),
                 )
         assert np.isnan(got.y[1])
         healthy = [0, 2, 3]
@@ -133,7 +137,7 @@ class TestEngineIsolation:
         )
 
     def test_collect_mode_records_structured_failure(self, model_chain):
-        engine = SweepEngine(on_error="collect")
+        engine = SweepEngine(EngineConfig(on_error="collect"))
         with faults.inject("singular_boundary:after=1:limit=1"):
             solutions = engine.run_chain(model_chain)
         assert solutions[1] is None
@@ -145,7 +149,7 @@ class TestEngineIsolation:
         assert engine.stats.failed == 1
 
     def test_collect_mode_emits_no_warnings(self, model_chain, recwarn):
-        engine = SweepEngine(on_error="collect")
+        engine = SweepEngine(EngineConfig(on_error="collect"))
         with faults.inject("singular_boundary:after=1:limit=1"):
             engine.run_chain(model_chain)
         assert not [
@@ -154,7 +158,7 @@ class TestEngineIsolation:
 
     def test_collect_plus_escalate_recovers_the_point(self, model_chain):
         reference = [m.solve().fg_response_time for m in model_chain]
-        engine = SweepEngine(on_error="collect", escalate=True)
+        engine = SweepEngine(EngineConfig(on_error="collect", escalate=True))
         with faults.inject("singular_boundary:after=1:limit=1"):
             solutions = engine.run_chain(model_chain)
         assert all(s is not None for s in solutions)
@@ -170,8 +174,8 @@ class TestBatchedIsolation:
 
     def test_poisoned_item_isolated_in_ten_item_group(self):
         models = poisson_models(10)
-        reference = SweepEngine(batched=True).solve_batch(models)
-        engine = SweepEngine(batched=True, on_error="collect")
+        reference = SweepEngine(EngineConfig(batched=True)).solve_batch(models)
+        engine = SweepEngine(EngineConfig(batched=True, on_error="collect"))
         with faults.inject("singular_boundary:after=3:limit=1"):
             got = engine.solve_batch(models)
         assert got[3] is None
@@ -190,8 +194,10 @@ class TestBatchedIsolation:
 
     def test_poisoned_item_escalates_and_recovers(self):
         models = poisson_models(10)
-        reference = SweepEngine(batched=True).solve_batch(models)
-        engine = SweepEngine(batched=True, on_error="collect", escalate=True)
+        reference = SweepEngine(EngineConfig(batched=True)).solve_batch(models)
+        engine = SweepEngine(
+            EngineConfig(batched=True, on_error="collect", escalate=True)
+        )
         with faults.inject("singular_boundary:after=3:limit=1"):
             got = engine.solve_batch(models)
         assert all(s is not None for s in got)
@@ -209,8 +215,8 @@ class TestBatchedIsolation:
         # to the scalar path; with the fault spent (limit=1) the scalar
         # ladder succeeds, so every item still gets a correct value.
         models = poisson_models(6)
-        reference = SweepEngine(batched=True).solve_batch(models)
-        engine = SweepEngine(batched=True)
+        reference = SweepEngine(EngineConfig(batched=True)).solve_batch(models)
+        engine = SweepEngine(EngineConfig(batched=True))
         with faults.inject("logred_overflow:after=2:limit=1"):
             got = engine.solve_batch(models)
         np.testing.assert_allclose(
@@ -234,7 +240,9 @@ class TestCacheCorruption:
         model = poisson_models(1)[0]
         clean = model.solve()
         key = self.plant_corrupt_entry(tmp_path, model)
-        engine = SweepEngine(cache=SolveCache(tmp_path), on_error="collect")
+        engine = SweepEngine(
+            EngineConfig(cache_dir=str(tmp_path), on_error="collect")
+        )
         sol = engine.solve(model)
         np.testing.assert_allclose(
             sol.fg_response_time, clean.fg_response_time, rtol=1e-12
@@ -253,13 +261,13 @@ class TestCacheCorruption:
         # "raise" quarantines, records and continues instead of raising.
         model = poisson_models(1)[0]
         self.plant_corrupt_entry(tmp_path, model)
-        engine = SweepEngine(cache=SolveCache(tmp_path))
+        engine = SweepEngine(EngineConfig(cache_dir=str(tmp_path)))
         assert engine.solve(model) is not None
         assert engine.stats.cache_quarantined == 1
 
     def test_skip_mode_warns_on_quarantine(self, tmp_path):
         model = poisson_models(1)[0]
         self.plant_corrupt_entry(tmp_path, model)
-        engine = SweepEngine(cache=SolveCache(tmp_path), on_error="skip")
+        engine = SweepEngine(EngineConfig(cache_dir=str(tmp_path), on_error="skip"))
         with pytest.warns(ResilienceWarning, match="quarantined"):
             engine.solve(model)

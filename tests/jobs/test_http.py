@@ -64,9 +64,9 @@ class TestRoutes:
     def test_submit_with_engine_section(self, base_url, memory_repo, tiny_figure):
         _, job = post(
             f"{base_url}/jobs",
-            {"figure": tiny_figure, "engine": {"cache_memory": True}},
+            {"figure": tiny_figure, "engine": {"on_error": "collect"}},
         )
-        assert memory_repo.get(job["job_id"]).spec.engine.cache_memory
+        assert memory_repo.get(job["job_id"]).spec.engine.on_error == "collect"
 
     def test_list_with_state_filter(self, base_url, tiny_figure):
         post(f"{base_url}/jobs", {"figure": tiny_figure})
@@ -108,8 +108,23 @@ class TestErrors:
 
     def test_bad_engine_section_is_400(self, base_url, tiny_figure):
         with pytest.raises(HTTPError) as excinfo:
-            post(f"{base_url}/jobs", {"figure": tiny_figure, "engine": {"tol": 0.0}})
+            post(
+                f"{base_url}/jobs",
+                {"figure": tiny_figure, "engine": {"on_error": "explode"}},
+            )
         assert excinfo.value.code == 400
+        assert "on_error must be one of" in excinfo.value.read().decode()
+
+    def test_removed_engine_fields_are_400(self, base_url, tiny_figure):
+        # Settings the engine no longer has are refused by name, not
+        # dropped: the job would otherwise run under different settings.
+        removed = {"cache" "_memory": True, "algorithm": "functional", "tol": 1e-9}
+        with pytest.raises(HTTPError) as excinfo:
+            post(f"{base_url}/jobs", {"figure": tiny_figure, "engine": removed})
+        assert excinfo.value.code == 400
+        message = excinfo.value.read().decode()
+        for name in removed:
+            assert name in message
 
     def test_unknown_route_is_404(self, base_url):
         with pytest.raises(HTTPError) as excinfo:

@@ -5,15 +5,19 @@ import pytest
 from repro.engine import EngineConfig
 from repro.jobs import JobSpec
 
-#: Engine fields removed with the process-pool executor and warm starts.
-#: Three names are assembled from parts so that a plain-text search of
-#: the tree for them finds no live use, only this record of the old schema.
+#: Engine fields removed with the process-pool executor and warm starts,
+#: then with the always-on memory cache and the fixed solver settings.
+#: Some names are assembled from parts so that a plain-text search of the
+#: tree for them finds no live use, only this record of the old schemas.
 REMOVED_ENGINE_FIELDS = {
     "jobs": 1,
     "warm" "_start": False,
     "max_retries": 2,
     "retry" "_backoff_ms": 100.0,
     "chain" "_timeout_ms": None,
+    "cache" "_memory": False,
+    "algorithm": "logarithmic-reduction",
+    "tol": 1e-12,
 }
 
 
@@ -54,8 +58,8 @@ class TestJobSpec:
 
     def test_invalid_engine_section_rejected_on_load(self):
         payload = JobSpec(figure="fig9").as_dict()
-        payload["engine"]["tol"] = 0.0
-        with pytest.raises(ValueError, match="tol must be positive"):
+        payload["engine"]["on_error"] = "explode"
+        with pytest.raises(ValueError, match="on_error must be one of"):
             JobSpec.from_dict(payload)
 
     def test_record_with_removed_engine_fields_rejected(self):

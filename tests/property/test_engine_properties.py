@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FgBgModel
-from repro.engine import SolveCache, SweepEngine
+from repro.engine import SweepEngine
 from repro.processes import MMPP
 from repro.workloads.paper import SERVICE_RATE_PER_MS
 
@@ -39,7 +39,7 @@ class TestCachingProperties:
     @given(model=stable_mmpp_models())
     @settings(max_examples=25, deadline=None)
     def test_cached_solve_equals_fresh_solve_exactly(self, model):
-        engine = SweepEngine(cache=SolveCache())
+        engine = SweepEngine()
         fresh = engine.solve(model)
         cached = engine.solve(model)
         assert cached is fresh
@@ -52,7 +52,7 @@ class TestCachingProperties:
     def test_rebuilt_model_hits_cache(self, model):
         # A structurally identical model built from the same parameters
         # must share the fingerprint and therefore the cache entry.
-        engine = SweepEngine(cache=SolveCache())
+        engine = SweepEngine()
         engine.solve(model)
         clone = FgBgModel(
             arrival=model.arrival,

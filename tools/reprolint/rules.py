@@ -893,8 +893,13 @@ def _is_self_derived(expr: ast.expr, derived: set[str]) -> bool:
     return root is not None and (root.id == "self" or root.id in derived)
 
 
-def _open_write_mode(call: ast.Call) -> bool:
-    mode: ast.expr | None = call.args[1] if len(call.args) > 1 else None
+def _open_write_mode(call: ast.Call, position: int) -> bool:
+    """Does this ``open`` call write?  ``position`` is where its mode sits
+    among the positional arguments: 1 for ``open(path, mode)``, 0 for the
+    method form ``path.open(mode)``."""
+    mode: ast.expr | None = (
+        call.args[position] if len(call.args) > position else None
+    )
     for kw in call.keywords:
         if kw.arg == "mode":
             mode = kw.value
@@ -918,7 +923,7 @@ def rl013_durable_write_discipline(tree: ast.AST, path: str) -> Iterator[Violati
                 continue
             fn = node.func
             if isinstance(fn, ast.Name):
-                if fn.id == "open" and node.args and _open_write_mode(node):
+                if fn.id == "open" and node.args and _open_write_mode(node, 1):
                     writes.append((node, node.args[0], "open(..., 'w')"))
             elif isinstance(fn, ast.Attribute):
                 if (
@@ -930,7 +935,7 @@ def rl013_durable_write_discipline(tree: ast.AST, path: str) -> Iterator[Violati
                     replaced.add(ast.unparse(node.args[0]))
                 elif fn.attr in {"write_text", "write_bytes"}:
                     writes.append((node, fn.value, f".{fn.attr}()"))
-                elif fn.attr == "open" and _open_write_mode(node):
+                elif fn.attr == "open" and _open_write_mode(node, 0):
                     writes.append((node, fn.value, ".open('w')"))
                 elif fn.attr in _SQLITE_EXECUTE:
                     executes = True
