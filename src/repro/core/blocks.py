@@ -26,6 +26,8 @@ state              transitions
 from __future__ import annotations
 
 import enum
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +66,8 @@ def build_qbd(
     """Assemble the QBD blocks of the FG/BG chain.
 
     Returns the validated :class:`~repro.qbd.structure.QBDProcess` together
-    with the :class:`~repro.core.states.StateSpace` that indexes it.
+    with the :class:`~repro.core.states.StateSpace` that indexes it (shared
+    by every model with the same buffer size, MAP order and BG mode).
     """
     if service_rate <= 0:
         raise ValueError(f"service_rate must be positive, got {service_rate}")
@@ -75,116 +78,178 @@ def build_qbd(
     if not isinstance(bg_mode, BgServiceMode):
         raise TypeError(f"bg_mode must be a BgServiceMode, got {bg_mode!r}")
 
-    space = StateSpace(bg_buffer, arrival.order)
-    a = arrival.order
+    pattern = _block_pattern(bg_buffer, arrival.order, bg_mode)
+    space = pattern.space
     d0, d1 = arrival.d0, arrival.d1
-    eye = np.eye(a)
+    eye = np.eye(arrival.order)
     mu = float(service_rate)
     p = float(bg_probability)
     alpha = float(idle_wait_rate)
+    # Each value is written as if added onto a zero block (``0.0 + x`` also
+    # turns -0.0 into 0.0), the way a group-by-group assembly accumulates
+    # it, so the scattered blocks are bit-identical to that assembly.
+    values: dict[str, np.ndarray | float] = {
+        "d0": 0.0 + d0,
+        "d0-alpha": (0.0 + d0) - alpha * eye,
+        "d0-mu": (0.0 + d0) - mu * eye,
+        "d1": 0.0 + d1,
+        "mu": 0.0 + mu,
+        "mu(1-p)": 0.0 + mu * (1 - p),
+        "mu*p": 0.0 + mu * p,
+        "alpha": 0.0 + alpha,
+    }
+    n_b = space.boundary_state_count
+    m = space.repeating_state_count
+    m_g = space.repeating_group_count
+    a0 = np.kron(np.eye(m_g), d1)
+    qbd = QBDProcess(
+        b00=_scatter((n_b, n_b), pattern.b00, values),
+        b01=_scatter((n_b, m), pattern.b01, values),
+        b10=_scatter((m, n_b), pattern.b10, values),
+        a0=a0,
+        a1=_scatter((m, m), pattern.a1, values),
+        a2=_scatter((m, m), pattern.a2, values),
+        boundary_levels=pattern.boundary_levels,
+    )
+    return qbd, space
+
+
+#: Per block, ``(term, flat indices)`` pairs: a full ``A x A`` term scatters
+#: over ``(k, A, A)`` indices, a rate times the identity over ``(k, A)``
+#: diagonal indices.  No two terms of one block share an index.
+_Scatter = tuple[tuple[str, np.ndarray], ...]
+
+
+def _scatter(
+    shape: tuple[int, int], entries: _Scatter, values: dict[str, np.ndarray | float]
+) -> np.ndarray:
+    out = np.zeros(shape[0] * shape[1])
+    for term, index in entries:
+        out[index] = values[term]
+    return out.reshape(shape)
+
+
+@dataclass(frozen=True)
+class _BlockPattern:
+    """Where each term of the FG/BG blocks lands, for one chain structure."""
+
+    space: StateSpace
+    boundary_levels: tuple[int, ...]
+    b00: _Scatter
+    b01: _Scatter
+    b10: _Scatter
+    a1: _Scatter
+    a2: _Scatter
+
+
+@functools.lru_cache(maxsize=64)
+def _block_pattern(
+    bg_buffer: int, phases: int, bg_mode: BgServiceMode
+) -> _BlockPattern:
+    """Walk the state groups once and record every block entry's term.
+
+    The transition table in the module docstring, group by group; each
+    ``put`` names the target block, the term and the source/target groups.
+    """
+    space = StateSpace(bg_buffer, phases)
     x_max = space.bg_buffer
+    puts: dict[str, dict[str, list[tuple[int, int]]]] = {
+        name: {} for name in ("b00", "b01", "b10", "a1", "a2")
+    }
+
+    def put(block: str, term: str, row: int, col: int) -> None:
+        puts[block].setdefault(term, []).append((row, col))
+
+    def b(kind: StateKind, bg: int, fg: int) -> int:
+        return space.boundary_group_index(kind, bg, fg)
+
+    def r(kind: StateKind, bg: int) -> int:
+        return space.repeating_group_index(kind, bg)
+
+    # Boundary (levels 0..X) and its up-transitions into level X+1.
+    for i, g in enumerate(space.boundary_groups):
+        top = g.level == x_max
+        if g.kind is StateKind.IDLE:
+            put("b00", "d0-alpha" if g.bg >= 1 else "d0", i, i)
+            if g.bg >= 1:
+                put("b00", "alpha", i, b(StateKind.BG, g.bg, 0))
+            if top:  # only I(X) reaches the repeating portion on an arrival
+                put("b01", "d1", i, r(StateKind.FG, g.bg))
+            else:
+                put("b00", "d1", i, b(StateKind.FG, g.bg, 1))
+        elif g.kind is StateKind.FG:
+            put("b00", "d0-mu", i, i)
+            if top:
+                put("b01", "d1", i, r(StateKind.FG, g.bg))
+            else:
+                put("b00", "d1", i, b(StateKind.FG, g.bg, g.fg + 1))
+            # Completion without (mu(1-p)) or with (mu*p) a spawned
+            # background job; boundary FG states have bg <= X-1, so the
+            # spawn is never dropped here.
+            if g.fg >= 2:
+                put("b00", "mu(1-p)", i, b(StateKind.FG, g.bg, g.fg - 1))
+                put("b00", "mu*p", i, b(StateKind.FG, g.bg + 1, g.fg - 1))
+            else:
+                put("b00", "mu(1-p)", i, b(StateKind.IDLE, g.bg, 0))
+                put("b00", "mu*p", i, b(StateKind.IDLE, g.bg + 1, 0))
+        else:  # BG in service
+            put("b00", "d0-mu", i, i)
+            if top:
+                put("b01", "d1", i, r(StateKind.BG, g.bg))
+            else:
+                put("b00", "d1", i, b(StateKind.BG, g.bg, g.fg + 1))
+            if g.fg >= 1:
+                put("b00", "mu", i, b(StateKind.FG, g.bg - 1, g.fg))
+            elif bg_mode is BgServiceMode.BACK_TO_BACK and g.bg >= 2:
+                put("b00", "mu", i, b(StateKind.BG, g.bg - 1, 0))
+            else:
+                put("b00", "mu", i, b(StateKind.IDLE, g.bg - 1, 0))
+
+    # Repeating blocks (levels j >= X+1; the FG count of group (kind, x) is
+    # j - x >= 1), and the special down-block from level X+1 into level X,
+    # where FG completions with y = 1 land on idle-wait states.
+    for i, g in enumerate(space.repeating_groups):
+        put("a1", "d0-mu", i, i)
+        y = x_max + 1 - g.bg  # FG count at level X+1
+        if g.kind is StateKind.FG and g.bg < x_max:
+            put("a1", "mu*p", i, r(StateKind.FG, g.bg + 1))
+            put("a2", "mu(1-p)", i, i)
+            # The mu*p spawn stays within level X+1 (y - 1 >= 1).
+            put("b10", "mu(1-p)", i, b(StateKind.FG, g.bg, y - 1))
+        elif g.kind is StateKind.FG:
+            # Full buffer: a spawned background job is dropped, so every
+            # completion steps the level down; from F(X, 1) the system
+            # empties of FG work and starts an idle wait.
+            put("a2", "mu", i, i)
+            put("b10", "mu", i, b(StateKind.IDLE, x_max, 0))
+        else:
+            put("a2", "mu", i, r(StateKind.FG, g.bg - 1))
+            put("b10", "mu", i, b(StateKind.FG, g.bg - 1, y))
 
     n_b = space.boundary_state_count
     m = space.repeating_state_count
-    b00 = np.zeros((n_b, n_b))
-    b01 = np.zeros((n_b, m))
-    b10 = np.zeros((m, n_b))
-
-    def bsl(kind: StateKind, bg: int, fg: int) -> slice:
-        i = space.boundary_group_index(kind, bg, fg)
-        return slice(i * a, (i + 1) * a)
-
-    def rsl(kind: StateKind, bg: int) -> slice:
-        i = space.repeating_group_index(kind, bg)
-        return slice(i * a, (i + 1) * a)
-
-    # ------------------------------------------------------------------
-    # Boundary (levels 0..X) and its up-transitions into level X+1
-    # ------------------------------------------------------------------
-    for g in space.boundary_groups:
-        s = bsl(g.kind, g.bg, g.fg)
-        b00[s, s] += d0
-        if g.kind is StateKind.IDLE:
-            if g.bg >= 1:
-                b00[s, s] -= alpha * eye
-                b00[s, bsl(StateKind.BG, g.bg, 0)] += alpha * eye
-            if g.level + 1 <= x_max:
-                b00[s, bsl(StateKind.FG, g.bg, 1)] += d1
-            else:  # only I(X) reaches the repeating portion on an arrival
-                b01[s, rsl(StateKind.FG, g.bg)] += d1
-        elif g.kind is StateKind.FG:
-            b00[s, s] -= mu * eye
-            if g.level + 1 <= x_max:
-                b00[s, bsl(StateKind.FG, g.bg, g.fg + 1)] += d1
-            else:
-                b01[s, rsl(StateKind.FG, g.bg)] += d1
-            # Completion without a spawned background job.
-            if g.fg >= 2:
-                b00[s, bsl(StateKind.FG, g.bg, g.fg - 1)] += mu * (1 - p) * eye
-            else:
-                b00[s, bsl(StateKind.IDLE, g.bg, 0)] += mu * (1 - p) * eye
-            # Completion that spawns a background job (boundary FG states
-            # always have bg <= X-1, so the spawn is never dropped here).
-            if p > 0:
-                x_up = min(g.bg + 1, x_max)
-                if g.fg >= 2:
-                    b00[s, bsl(StateKind.FG, x_up, g.fg - 1)] += mu * p * eye
-                else:
-                    b00[s, bsl(StateKind.IDLE, x_up, 0)] += mu * p * eye
-        else:  # BG in service
-            b00[s, s] -= mu * eye
-            if g.level + 1 <= x_max:
-                b00[s, bsl(StateKind.BG, g.bg, g.fg + 1)] += d1
-            else:
-                b01[s, rsl(StateKind.BG, g.bg)] += d1
-            if g.fg >= 1:
-                b00[s, bsl(StateKind.FG, g.bg - 1, g.fg)] += mu * eye
-            elif bg_mode is BgServiceMode.BACK_TO_BACK and g.bg >= 2:
-                b00[s, bsl(StateKind.BG, g.bg - 1, 0)] += mu * eye
-            else:
-                b00[s, bsl(StateKind.IDLE, g.bg - 1, 0)] += mu * eye
-
-    # ------------------------------------------------------------------
-    # Repeating blocks (levels j >= X+1); at level j the FG count of group
-    # (kind, x) is j - x >= 1.
-    # ------------------------------------------------------------------
-    m_g = space.repeating_group_count
-    a0 = np.kron(np.eye(m_g), d1)
-    a1 = np.zeros((m, m))
-    a2 = np.zeros((m, m))
-    for g in space.repeating_groups:
-        s = rsl(g.kind, g.bg)
-        a1[s, s] += d0 - mu * eye
-        if g.kind is StateKind.FG:
-            if g.bg < x_max:
-                if p > 0:
-                    a1[s, rsl(StateKind.FG, g.bg + 1)] += mu * p * eye
-                a2[s, rsl(StateKind.FG, g.bg)] += mu * (1 - p) * eye
-            else:
-                # Full buffer: a spawned background job is dropped, so every
-                # completion simply steps the level down.
-                a2[s, rsl(StateKind.FG, g.bg)] += mu * eye
-        else:
-            a2[s, rsl(StateKind.FG, g.bg - 1)] += mu * eye
-
-    # ------------------------------------------------------------------
-    # Special down-block from level X+1 into the boundary level X: the
-    # FG completions with y = 1 land on idle-wait states.
-    # ------------------------------------------------------------------
-    for g in space.repeating_groups:
-        s = rsl(g.kind, g.bg)
-        y = x_max + 1 - g.bg  # FG count at level X+1
-        if g.kind is StateKind.FG:
-            if g.bg < x_max:
-                b10[s, bsl(StateKind.FG, g.bg, y - 1)] += mu * (1 - p) * eye
-                # The mu*p spawn stays within level X+1 (handled in a1),
-                # because y - 1 >= 1 here.
-            else:
-                # F(X, 1): whether or not a (dropped) spawn occurs, the
-                # system empties of FG work and starts an idle wait.
-                b10[s, bsl(StateKind.IDLE, x_max, 0)] += mu * eye
-        else:
-            b10[s, bsl(StateKind.FG, g.bg - 1, y)] += mu * eye
-
-    qbd = QBDProcess(b00=b00, b01=b01, b10=b10, a0=a0, a1=a1, a2=a2)
-    return qbd, space
+    widths = {"b00": n_b, "b01": m, "b10": n_b, "a1": m, "a2": m}
+    full = np.arange(phases)
+    scatters: dict[str, _Scatter] = {}
+    for block, terms in puts.items():
+        entries: list[tuple[str, np.ndarray]] = []
+        for term, pairs in terms.items():
+            rows, cols = (np.array(side) * phases for side in zip(*pairs))
+            if term.startswith("d"):  # a full A x A block per group pair
+                index = (rows[:, None, None] + full[:, None]) * widths[block] + (
+                    cols[:, None, None] + full[None, :]
+                )
+            else:  # a rate times the identity
+                index = (rows[:, None] + full) * widths[block] + cols[:, None] + full
+            index.setflags(write=False)
+            entries.append((term, index))
+        scatters[block] = tuple(entries)
+    return _BlockPattern(
+        space=space,
+        boundary_levels=tuple((2 * j + 1) * phases for j in range(x_max + 1)),
+        b00=scatters["b00"],
+        b01=scatters["b01"],
+        b10=scatters["b10"],
+        a1=scatters["a1"],
+        a2=scatters["a2"],
+    )

@@ -178,7 +178,10 @@ class StateSpace:
     # Per-state metric vectors (expanded over phases)
     # ------------------------------------------------------------------
     def _expand(self, per_group: np.ndarray) -> np.ndarray:
-        return np.repeat(np.asarray(per_group, dtype=float), self._phases)
+        # Read-only: one space indexes every model of its structure.
+        expanded = np.repeat(np.asarray(per_group, dtype=float), self._phases)
+        expanded.setflags(write=False)
+        return expanded
 
     @cached_property
     def boundary_fg_counts(self) -> np.ndarray:

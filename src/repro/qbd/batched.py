@@ -23,8 +23,10 @@ scalar path: an unstable item cannot converge to a stochastic ``G``, so it
 lands in the scalar fallback, which performs the drift diagnosis and
 raises the same ``ValueError`` a sequential solve would.  Accepted items
 still pass the per-item ``sp(R) < 1`` postcondition, so batched results
-agree with sequential results to solver tolerance (in practice bitwise,
-since the stacked BLAS calls perform the identical per-slice operations).
+agree with sequential results to solver tolerance (R in practice bitwise,
+since the stacked BLAS calls perform the identical per-slice operations;
+the boundary vectors to rounding, since the stack solves each boundary
+system densely where the scalar path eliminates it level by level).
 """
 
 from __future__ import annotations
@@ -518,10 +520,12 @@ def _batched_boundary(
 ) -> tuple[FloatArray, FloatArray, list[tuple[int, BaseException]]]:
     """Stacked boundary solve: ``(pi_0, pi_1, failed)`` -- jointly normalized.
 
-    Per item this assembles and solves exactly the linear system of
-    :func:`repro.qbd.boundary.solve_boundary`; items whose batched solve
-    goes singular or significantly negative are re-solved (and error
-    checked) through the scalar path.  In isolation mode a scalar re-solve
+    Per item this assembles the whole boundary system of
+    :func:`repro.qbd.boundary.solve_boundary` densely (balance equations
+    plus normalization) and solves the stack with one LU call; the scalar
+    path reaches the same solution level by level, so the two agree to
+    rounding.  Items whose batched solve goes singular or significantly
+    negative are re-solved (and error checked) through the scalar path.  In isolation mode a scalar re-solve
     that *raises* lands in the returned ``failed`` list (its ``pi`` rows
     are NaN) instead of propagating.
     """

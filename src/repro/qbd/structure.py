@@ -23,14 +23,47 @@ def _freeze(*arrays: np.ndarray) -> None:
         array.setflags(write=False)
 
 
+def _boundary_levels(
+    declared: tuple[int, ...], b00: np.ndarray, b01: np.ndarray, b10: np.ndarray
+) -> tuple[int, ...]:
+    """Validate the declared boundary level sizes against the blocks."""
+    n_b = b00.shape[0]
+    levels = tuple(int(size) for size in declared) or (n_b,)
+    if min(levels) <= 0 or sum(levels) != n_b:
+        raise ValueError(
+            f"boundary_levels {levels} must be positive sizes summing to "
+            f"the boundary size {n_b}"
+        )
+    edges = np.cumsum((0, *levels))
+    last = int(edges[-2])
+    if np.any(b01[:last]):
+        raise ValueError("b01 must be zero outside the last boundary level's rows")
+    if np.any(b10[:, :last]):
+        raise ValueError("b10 must be zero outside the last boundary level's columns")
+    if len(levels) > 1:
+        outside = b00 != 0
+        for j in range(len(levels)):
+            lo, hi = edges[max(j - 1, 0)], edges[min(j + 2, len(levels))]
+            outside[edges[j] : edges[j + 1], lo:hi] = False
+        if outside.any():
+            row = int(np.argmax(outside.any(axis=1)))
+            j = int(np.searchsorted(edges, row, side="right")) - 1
+            raise ValueError(
+                f"b00 has an entry outside the block-tridiagonal band in "
+                f"boundary level {j}"
+            )
+    return levels
+
+
 @dataclass(frozen=True)
 class QBDProcess:
     """A QBD defined by its repeating blocks and boundary blocks.
 
     The boundary portion may aggregate several "physical" levels into one
     block of ``boundary_size`` states (as the foreground/background model
-    does with its tree-like levels ``0..X``); the repeating portion has
-    ``phase_count`` states per level.
+    does with its tree-like levels ``0..X``), whose sizes
+    ``boundary_levels`` records; the repeating portion has ``phase_count``
+    states per level.
 
     Attributes
     ----------
@@ -52,6 +85,12 @@ class QBDProcess:
         diagonal (``m x m``).
     a2:
         Level-down transitions within the repeating portion (``m x m``).
+    boundary_levels:
+        Sizes of the boundary's physical levels, in state order.  ``b00``
+        is block tridiagonal over them, only the last level moves up
+        (``b01``) and only it is reached from above (``b10``), so the
+        boundary solve can eliminate one level at a time.  The default
+        ``()`` declares a single level, ``(boundary_size,)``.
     """
 
     b00: np.ndarray
@@ -60,6 +99,7 @@ class QBDProcess:
     a0: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
+    boundary_levels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         b00 = np.array(self.b00, dtype=float)
@@ -78,6 +118,7 @@ class QBDProcess:
             block = {"b01": b01, "b10": b10, "a0": a0, "a2": a2}[name]
             if block.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {block.shape}")
+        levels = _boundary_levels(self.boundary_levels, b00, b01, b10)
         for name, block in (
             ("b01", b01),
             ("b10", b10),
@@ -87,28 +128,21 @@ class QBDProcess:
             if np.any(block < 0):
                 raise ValueError(f"{name} must be entrywise non-negative")
         for name, block in (("b00", b00), ("a1", a1)):
-            off = block - np.diag(np.diag(block))
-            if np.any(off < 0):
+            negative = block < 0
+            np.fill_diagonal(negative, False)
+            if np.any(negative):
                 raise ValueError(f"off-diagonal entries of {name} must be non-negative")
         scale = max(float(np.max(np.abs(np.diag(b00)))), float(np.max(np.abs(np.diag(a1)))), 1.0)
-        boundary_sums = b00.sum(axis=1) + b01.sum(axis=1)
-        if np.any(np.abs(boundary_sums) > _ATOL * scale):
-            i = int(np.argmax(np.abs(boundary_sums)))
-            raise ValueError(
-                f"boundary row {i} sums to {boundary_sums[i]}, expected 0"
-            )
-        first_sums = b10.sum(axis=1) + a1.sum(axis=1) + a0.sum(axis=1)
-        if np.any(np.abs(first_sums) > _ATOL * scale):
-            i = int(np.argmax(np.abs(first_sums)))
-            raise ValueError(
-                f"first repeating-level row {i} sums to {first_sums[i]}, expected 0"
-            )
-        repeat_sums = a2.sum(axis=1) + a1.sum(axis=1) + a0.sum(axis=1)
-        if np.any(np.abs(repeat_sums) > _ATOL * scale):
-            i = int(np.argmax(np.abs(repeat_sums)))
-            raise ValueError(
-                f"repeating-level row {i} sums to {repeat_sums[i]}, expected 0"
-            )
+        a1_sums = a1.sum(axis=1)
+        a0_sums = a0.sum(axis=1)
+        for label, sums in (
+            ("boundary row", b00.sum(axis=1) + b01.sum(axis=1)),
+            ("first repeating-level row", b10.sum(axis=1) + a1_sums + a0_sums),
+            ("repeating-level row", a2.sum(axis=1) + a1_sums + a0_sums),
+        ):
+            if np.any(np.abs(sums) > _ATOL * scale):
+                i = int(np.argmax(np.abs(sums)))
+                raise ValueError(f"{label} {i} sums to {sums[i]}, expected 0")
         _freeze(b00, b01, b10, a0, a1, a2)
         object.__setattr__(self, "b00", b00)
         object.__setattr__(self, "b01", b01)
@@ -116,6 +150,7 @@ class QBDProcess:
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "boundary_levels", levels)
 
     @classmethod
     def homogeneous(cls, a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> "QBDProcess":

@@ -158,3 +158,129 @@ class TestRowSums:
         # they hold.  Also check the A-blocks directly.
         rows = qbd.a0.sum(axis=1) + qbd.a1.sum(axis=1) + qbd.a2.sum(axis=1)
         np.testing.assert_allclose(rows, 0.0, atol=1e-12)
+
+
+def reference_blocks(arrival, mu, p, x_max, alpha, mode):
+    """The group-by-group assembly ``build_qbd`` replaced: every block entry
+    accumulated onto a zero block, one state group at a time."""
+    from repro.core.states import StateSpace
+
+    space = StateSpace(x_max, arrival.order)
+    a = arrival.order
+    d0, d1 = arrival.d0, arrival.d1
+    eye = np.eye(a)
+    n_b = space.boundary_state_count
+    m = space.repeating_state_count
+    b00 = np.zeros((n_b, n_b))
+    b01 = np.zeros((n_b, m))
+    b10 = np.zeros((m, n_b))
+
+    def bsl(kind, bg, fg):
+        i = space.boundary_group_index(kind, bg, fg)
+        return slice(i * a, (i + 1) * a)
+
+    def rsl(kind, bg):
+        i = space.repeating_group_index(kind, bg)
+        return slice(i * a, (i + 1) * a)
+
+    for g in space.boundary_groups:
+        s = bsl(g.kind, g.bg, g.fg)
+        b00[s, s] += d0
+        if g.kind is StateKind.IDLE:
+            if g.bg >= 1:
+                b00[s, s] -= alpha * eye
+                b00[s, bsl(StateKind.BG, g.bg, 0)] += alpha * eye
+            if g.level + 1 <= x_max:
+                b00[s, bsl(StateKind.FG, g.bg, 1)] += d1
+            else:
+                b01[s, rsl(StateKind.FG, g.bg)] += d1
+        elif g.kind is StateKind.FG:
+            b00[s, s] -= mu * eye
+            if g.level + 1 <= x_max:
+                b00[s, bsl(StateKind.FG, g.bg, g.fg + 1)] += d1
+            else:
+                b01[s, rsl(StateKind.FG, g.bg)] += d1
+            if g.fg >= 2:
+                b00[s, bsl(StateKind.FG, g.bg, g.fg - 1)] += mu * (1 - p) * eye
+            else:
+                b00[s, bsl(StateKind.IDLE, g.bg, 0)] += mu * (1 - p) * eye
+            if p > 0:
+                x_up = min(g.bg + 1, x_max)
+                if g.fg >= 2:
+                    b00[s, bsl(StateKind.FG, x_up, g.fg - 1)] += mu * p * eye
+                else:
+                    b00[s, bsl(StateKind.IDLE, x_up, 0)] += mu * p * eye
+        else:
+            b00[s, s] -= mu * eye
+            if g.level + 1 <= x_max:
+                b00[s, bsl(StateKind.BG, g.bg, g.fg + 1)] += d1
+            else:
+                b01[s, rsl(StateKind.BG, g.bg)] += d1
+            if g.fg >= 1:
+                b00[s, bsl(StateKind.FG, g.bg - 1, g.fg)] += mu * eye
+            elif mode is BgServiceMode.BACK_TO_BACK and g.bg >= 2:
+                b00[s, bsl(StateKind.BG, g.bg - 1, 0)] += mu * eye
+            else:
+                b00[s, bsl(StateKind.IDLE, g.bg - 1, 0)] += mu * eye
+
+    m_g = space.repeating_group_count
+    a0 = np.kron(np.eye(m_g), d1)
+    a1 = np.zeros((m, m))
+    a2 = np.zeros((m, m))
+    for g in space.repeating_groups:
+        s = rsl(g.kind, g.bg)
+        a1[s, s] += d0 - mu * eye
+        if g.kind is StateKind.FG:
+            if g.bg < x_max:
+                if p > 0:
+                    a1[s, rsl(StateKind.FG, g.bg + 1)] += mu * p * eye
+                a2[s, rsl(StateKind.FG, g.bg)] += mu * (1 - p) * eye
+            else:
+                a2[s, rsl(StateKind.FG, g.bg)] += mu * eye
+        else:
+            a2[s, rsl(StateKind.FG, g.bg - 1)] += mu * eye
+
+    for g in space.repeating_groups:
+        s = rsl(g.kind, g.bg)
+        y = x_max + 1 - g.bg
+        if g.kind is StateKind.FG:
+            if g.bg < x_max:
+                b10[s, bsl(StateKind.FG, g.bg, y - 1)] += mu * (1 - p) * eye
+            else:
+                b10[s, bsl(StateKind.IDLE, x_max, 0)] += mu * eye
+        else:
+            b10[s, bsl(StateKind.FG, g.bg - 1, y)] += mu * eye
+    return {"b00": b00, "b01": b01, "b10": b10, "a0": a0, "a1": a1, "a2": a2}
+
+
+class TestPatternAssembly:
+    """``build_qbd`` scatters values over a cached pattern; its blocks must
+    be bit-identical (sign bits included) to the group-by-group assembly."""
+
+    @pytest.mark.parametrize("x", [0, 1, 2, 5, 9, 25])
+    @pytest.mark.parametrize(
+        "workload", ["email", "software_development", "user_accounts"]
+    )
+    def test_blocks_match_group_assembly(self, workload, x):
+        from repro.workloads.paper import SERVICE_RATE_PER_MS, WORKLOADS
+
+        arrival = WORKLOADS[workload].fit()
+        mu = SERVICE_RATE_PER_MS
+        for p in (0.0, 1e-10, 0.37, 1.0):
+            for mode in BgServiceMode:
+                for alpha in (mu, 0.05 * mu):
+                    qbd, space = build(arrival, mu=mu, p=p, x=x, alpha=alpha, mode=mode)
+                    expected = reference_blocks(arrival, mu, p, x, alpha, mode)
+                    for name, block in expected.items():
+                        got = getattr(qbd, name)
+                        case = (name, p, mode, alpha)
+                        assert np.array_equal(got, block), case
+                        assert np.array_equal(np.signbit(got), np.signbit(block)), case
+
+    def test_boundary_levels_and_shared_space(self):
+        arrival = fit_mmpp2(rate=0.3, scv=2.0, decay=0.9)
+        qbd, space = build(arrival, x=3)
+        assert qbd.boundary_levels == (2, 6, 10, 14)
+        _, again = build(arrival, p=0.6, x=3, alpha=0.2)
+        assert again is space
+        assert not space.boundary_fg_counts.flags.writeable

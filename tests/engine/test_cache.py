@@ -65,6 +65,24 @@ class TestSolveKey:
         assert engine.stats.failures == []
         assert legacy.exists()
 
+    def test_format_2_entry_is_a_miss(self, tmp_path):
+        # Format 3 added QBDProcess.boundary_levels; a format-2 pickle
+        # holds a QBDProcess without it and must never be served.
+        m = model(p=0.3)
+        h = hashlib.sha256()
+        h.update(b"format-2:")
+        h.update(m.fingerprint().encode())
+        h.update(b"logarithmic-reduction")
+        h.update((1e-12).hex().encode())
+        assert h.hexdigest() != SolveCache.key(m)
+        stale = tmp_path / f"{h.hexdigest()}.pkl"
+        stale.write_bytes(pickle.dumps(model(p=0.6).solve()))
+
+        engine = SweepEngine(EngineConfig(cache_dir=str(tmp_path)))
+        engine.solve(m)
+        assert engine.stats.cache_hits == 0
+        assert engine.stats.solver_calls == 1
+
 
 class TestMemoryCache:
     def test_miss_then_hit(self):

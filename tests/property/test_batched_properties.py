@@ -9,7 +9,7 @@ the kernel's shape grouping.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FgBgModel, solve_models_batched
@@ -65,6 +65,15 @@ def assert_solutions_agree(sequential, batched):
 
 class TestBatchedEqualsSequential:
     @given(model=stable_mmpp_models())
+    @example(
+        # p = 1e-6: BG probabilities near 1e-14, whose relative accuracy
+        # bg_response_time (a ratio of two tiny sums) exposes.
+        model=FgBgModel(
+            arrival=MMPP.two_state(v1=0.222222, v2=0.111111, l1=0.222222, l2=0.0138889),
+            service_rate=MU,
+            bg_probability=1e-6,
+        )
+    )
     @settings(max_examples=25, deadline=None)
     def test_single_model(self, model):
         (batched,) = solve_models_batched([model])

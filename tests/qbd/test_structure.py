@@ -65,6 +65,65 @@ class TestValidation:
             )
 
 
+def two_level_blocks(x: int = 2) -> dict:
+    """Writable blocks and level sizes of the FG/BG chain (Poisson arrivals)."""
+    from repro.core.blocks import build_qbd
+    from repro.processes import PoissonProcess
+
+    qbd, _ = build_qbd(PoissonProcess(0.4), 1.0, 0.3, x, 0.7)
+    blocks = {
+        name: np.array(getattr(qbd, name))
+        for name in ("b00", "b01", "b10", "a0", "a1", "a2")
+    }
+    return {**blocks, "boundary_levels": qbd.boundary_levels}
+
+
+class TestBoundaryLevels:
+    def test_default_is_one_level(self):
+        assert mm1_qbd().boundary_levels == (1,)
+
+    def test_fgbg_levels_accepted(self):
+        blocks = two_level_blocks()
+        assert blocks["boundary_levels"] == (1, 3, 5)
+        assert QBDProcess(**blocks).boundary_levels == (1, 3, 5)
+
+    @pytest.mark.parametrize("levels", [(1, 3, 4), (1, 3, 5, 1), (0, 4, 5), (-1, 5, 5)])
+    def test_rejects_wrong_sizes(self, levels):
+        blocks = two_level_blocks()
+        blocks["boundary_levels"] = levels
+        with pytest.raises(ValueError, match="boundary_levels"):
+            QBDProcess(**blocks)
+
+    def test_rejects_entry_outside_band(self):
+        # I(0) (level 0) jumping straight to level 2, row sum kept at zero.
+        blocks = two_level_blocks()
+        blocks["b00"][0, 8] += 0.1
+        blocks["b00"][0, 0] -= 0.1
+        with pytest.raises(ValueError, match="band in boundary level 0"):
+            QBDProcess(**blocks)
+
+    def test_rejects_up_move_below_last_level(self):
+        blocks = two_level_blocks()
+        blocks["b01"][1, 0] += 0.1
+        blocks["b00"][1, 1] -= 0.1
+        with pytest.raises(ValueError, match="b01 must be zero outside"):
+            QBDProcess(**blocks)
+
+    def test_rejects_down_move_below_last_level(self):
+        blocks = two_level_blocks()
+        blocks["b10"][0, 0] += 0.1
+        blocks["a1"][0, 0] -= 0.1
+        with pytest.raises(ValueError, match="b10 must be zero outside"):
+            QBDProcess(**blocks)
+
+    def test_same_blocks_valid_as_one_level(self):
+        blocks = two_level_blocks()
+        blocks["b00"][0, 8] += 0.1
+        blocks["b00"][0, 0] -= 0.1
+        del blocks["boundary_levels"]
+        assert QBDProcess(**blocks).boundary_levels == (9,)
+
+
 class TestTruncatedGenerator:
     def test_truncation_is_valid_generator(self):
         q = mm1_qbd().truncated_generator(levels=10)
