@@ -68,13 +68,18 @@ def solve_boundary(
     # The top level is solved as a generator, which it is only when
     # R A2 e = A0 e (true of the minimal R of a positive recurrent QBD):
     # reject an R that does not fit the blocks instead of answering for
-    # another chain.
+    # another chain.  Since A1 e = -(A0 + A2) e, the defect equals
+    # -(I - R)^{-1} (A0 + R A1 + R^2 A2) e: an R that solves its equation
+    # to a residual eps misses by up to eps ||(I - R)^{-1}||, and near
+    # saturation that norm (the largest tail weight) reaches 1e5.  The
+    # bound is therefore on the residual, not on the defect itself.
+    tail_weights = np.linalg.solve(np.eye(m) - r, np.ones(m))
     defect = float(np.abs(r @ qbd.a2.sum(axis=1) - qbd.a0.sum(axis=1)).max())
-    if not defect <= 1e-8 * max(1.0, float(np.abs(np.diag(qbd.a1)).max())):
+    rate_scale = max(1.0, float(np.abs(np.diag(qbd.a1)).max()))
+    if not defect <= 1e-8 * rate_scale * max(1.0, float(np.abs(tail_weights).max())):
         raise ValueError(
             f"R does not fit the QBD blocks: R A2 e - A0 e reaches {defect:.3g}"
         )
-    tail_weights = np.linalg.solve(np.eye(m) - r, np.ones(m))
     top = qbd.a1 + r @ qbd.a2
     try:
         x = _level_reduction(qbd, top, tail_weights)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import BgServiceMode, FgBgModel
-from repro.processes import fit_mmpp2
+from repro.processes import MMPP, fit_mmpp2
 from repro.qbd import QBDProcess, solve_boundary
 from repro.qbd.rmatrix import r_matrix
 from repro.workloads.paper import SERVICE_RATE_PER_MS, WORKLOADS
@@ -167,6 +167,26 @@ class TestLevelReduction:
         # R with its phases swapped: non-negative, but R A2 e != A0 e.
         with pytest.raises(ValueError, match="R does not fit the QBD blocks"):
             solve_boundary(qbd, r[::-1, ::-1])
+
+    def test_accepts_near_saturated_r(self):
+        # Slowly switching MMPP whose busy phase overloads the server: the
+        # largest tail weight is ~1e5, and the computed R misses
+        # R A2 e = A0 e by ~7e-8 although it solves its own equation to
+        # round-off.  It must still be accepted and match the dense solve.
+        model = FgBgModel(
+            arrival=MMPP.two_state(v1=6.52852e-05, v2=6.52852e-05, l1=1.82876, l2=0),
+            service_rate=1.0,
+            bg_probability=0.0,
+            bg_buffer=0,
+            idle_wait_rate=10.0,
+        )
+        qbd = model.qbd
+        r = r_matrix(qbd.a0, qbd.a1, qbd.a2)
+        assert np.abs(r @ qbd.a2.sum(axis=1) - qbd.a0.sum(axis=1)).max() > 1e-8
+        pi0, pi1 = solve_boundary(qbd, r)
+        ref0, ref1 = dense_solve(qbd, r)
+        np.testing.assert_allclose(pi0, ref0, rtol=1e-9)
+        np.testing.assert_allclose(pi1, ref1, rtol=1e-9)
 
 
 class TestOneLevelModels:

@@ -24,6 +24,7 @@ suppressions; RL009 audits both stale suppressions and missing reasons.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ __all__ = [
     "raw_lint_source",
     "render",
     "suppressed",
+    "walk_tree",
 ]
 
 #: Directory parts never descended into during discovery.
@@ -53,6 +55,17 @@ _FIXTURE_PARENT = "reprolint"
 
 _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
 _RL_CODE = re.compile(r"^RL\d{3}$")
+
+
+@functools.lru_cache(maxsize=4)
+def walk_tree(tree: ast.AST) -> tuple[ast.AST, ...]:
+    """Every node of ``tree`` in ``ast.walk`` order, walked once per tree.
+
+    Most per-file rules scan the whole module; they share this walk
+    instead of each repeating it.  The trees are never mutated, so the
+    cached tuple stays valid while the tree is alive (the cache holds it).
+    """
+    return tuple(ast.walk(tree))
 
 
 @dataclass(frozen=True)

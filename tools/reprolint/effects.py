@@ -36,6 +36,7 @@ transitivity -- which is also the contract CLAUDE.md documents.
 from __future__ import annotations
 
 import ast
+import functools
 from collections.abc import Callable, Iterator
 from typing import Any
 
@@ -67,20 +68,26 @@ _WRITE_MODES = ("w", "a", "x")
 
 def walk_scope(root: ast.AST) -> Iterator[ast.AST]:
     """``ast.walk`` restricted to one scope: nested defs are not entered."""
+    return iter(_scope_nodes(root))
+
+
+@functools.lru_cache(maxsize=1024)
+def _scope_nodes(root: ast.AST) -> tuple[ast.AST, ...]:
+    # Each function is scanned by several analyses (aliases, mutations,
+    # booleans, calls, RL012, RL013); they share one walk.
+    nodes: list[ast.AST] = []
     stack: list[ast.AST] = [root]
     while stack:
         node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if node is not root and isinstance(
+        nodes.append(node)
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) and node is root:
-                continue
-            stack.append(child)
+            )
+        )
+    return tuple(nodes)
 
 
 def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[list[str], list[str], str | None]:

@@ -67,6 +67,7 @@ from tools.reprolint.core import (
     noqa_map,
     raw_lint_source,
     suppressed,
+    walk_tree,
 )
 from tools.reprolint.shapes import (
     GENERATOR,
@@ -316,7 +317,7 @@ def summarize_module(
         record = _call_record(event, None)
         if record:
             calls.append(record)
-    for node in ast.walk(tree):
+    for node in walk_tree(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             analysis = dataflow.analyze_function(node)
             for event in analysis.calls:

@@ -78,7 +78,7 @@ import ast
 from collections.abc import Iterator
 
 from tools.reprolint import dataflow, effects
-from tools.reprolint.core import Violation
+from tools.reprolint.core import Violation, walk_tree
 from tools.reprolint.shapes import shape_rules
 
 __all__ = ["ALL_RULES", "FILE_RULES", "RULE_SUMMARIES"]
@@ -191,7 +191,7 @@ def _methods(node: ast.ClassDef) -> Iterator[ast.FunctionDef | ast.AsyncFunction
 
 def rl001_frozen_mutation(tree: ast.AST, path: str) -> Iterator[Violation]:
     """RL001: frozen-dataclass mutation outside the sanctioned idiom."""
-    for class_node in ast.walk(tree):
+    for class_node in walk_tree(tree):
         if not isinstance(class_node, ast.ClassDef):
             continue
         is_dc, frozen = _dataclass_decoration(class_node)
@@ -285,7 +285,7 @@ def rl002_writable_array_on_dataclass(
     oracle = (
         effects.freeze_oracle(tree) if isinstance(tree, ast.Module) else {}
     )
-    for class_node in ast.walk(tree):
+    for class_node in walk_tree(tree):
         if not isinstance(class_node, ast.ClassDef):
             continue
         is_dc, _ = _dataclass_decoration(class_node)
@@ -381,7 +381,7 @@ def _time_name_problem(name: str) -> str | None:
 
 def rl003_unitless_time(tree: ast.AST, path: str) -> Iterator[Violation]:
     """RL003: time-like names crossing function boundaries without _ms."""
-    for node in ast.walk(tree):
+    for node in walk_tree(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
             for arg in [
@@ -475,7 +475,7 @@ def rl004_suppression_near_nan_guard(
     scopes: list[ast.AST] = [tree]
     scopes.extend(
         node
-        for node in ast.walk(tree)
+        for node in walk_tree(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     )
     seen: set[tuple[int, int]] = set()
@@ -546,14 +546,14 @@ def rl005_stationary_on_phase_sum(
                 and node.func.attr == "stationary_distribution"
             )
         )
-        for node in ast.walk(tree)
+        for node in walk_tree(tree)
     ):
         return
     # Track names assigned from a phase-process sum, per enclosing scope.
     # A function body is walked both as its own scope and as part of the
     # module scope; dedupe by source location.
     seen: set[tuple[int, int]] = set()
-    for scope in ast.walk(tree):
+    for scope in walk_tree(tree):
         if not isinstance(
             scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
         ):
@@ -596,7 +596,7 @@ def rl005_stationary_on_phase_sum(
 
 
 def _function_nodes(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
+    for node in walk_tree(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 
@@ -1109,7 +1109,7 @@ def _handler_builds_failure(handler: ast.ExceptHandler) -> str | None:
 
 def rl014_exception_laundering(tree: ast.AST, path: str) -> Iterator[Violation]:
     """RL014: dropped ContractViolations, laundered cancellations."""
-    for node in ast.walk(tree):
+    for node in walk_tree(tree):
         if not isinstance(node, ast.ExceptHandler):
             continue
         if _handler_catches(node, "ContractViolation"):
@@ -1211,7 +1211,7 @@ def rl015_env_hygiene(tree: ast.AST, path: str) -> Iterator[Violation]:
             return expr.id
         return None
 
-    for node in ast.walk(tree):
+    for node in walk_tree(tree):
         key: str | None = None
         if isinstance(node, ast.Call):
             fn = node.func
