@@ -10,20 +10,27 @@
 * :mod:`~repro.core.multiclass` -- extension: several background classes.
 """
 
-from repro.core.batch import BatchFgBgModel, BatchFgBgSolution
 from repro.core.batched import solve_models_batched
-from repro.core.distributions import (
-    bg_queue_length_pmf,
-    fg_queue_length_pmf,
-    fg_queue_length_quantile,
-)
-from repro.core.idle_period import IdlePeriodAnalysis, analyze_idle_periods
 from repro.core.metrics import METRICS, Metric, resolve_metric
 from repro.core.model import BgServiceMode, FgBgModel
-from repro.core.multiclass import MulticlassFgBgModel, MulticlassSolution
-from repro.core.ph_service import PhServiceFgBgModel, PhServiceSolution
 from repro.core.result import FgBgSolution
 from repro.core.states import StateKind, StateSpace
+
+#: Extensions re-exported on first access (PEP 562), so the figure path
+#: does not import them: public name -> defining module.
+_LAZY = {
+    "BatchFgBgModel": "repro.core.batch",
+    "BatchFgBgSolution": "repro.core.batch",
+    "bg_queue_length_pmf": "repro.core.distributions",
+    "fg_queue_length_pmf": "repro.core.distributions",
+    "fg_queue_length_quantile": "repro.core.distributions",
+    "IdlePeriodAnalysis": "repro.core.idle_period",
+    "analyze_idle_periods": "repro.core.idle_period",
+    "MulticlassFgBgModel": "repro.core.multiclass",
+    "MulticlassSolution": "repro.core.multiclass",
+    "PhServiceFgBgModel": "repro.core.ph_service",
+    "PhServiceSolution": "repro.core.ph_service",
+}
 
 __all__ = [
     "BatchFgBgModel",
@@ -47,3 +54,12 @@ __all__ = [
     "fg_queue_length_quantile",
     "solve_models_batched",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Import a lazily re-exported extension on first access."""
+    if name in _LAZY:
+        import importlib
+
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module 'repro.core' has no attribute {name!r}")

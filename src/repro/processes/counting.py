@@ -19,7 +19,6 @@ deviation matrix ``D`` of ``Q``:
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.markov.deviation import deviation_matrix
 from repro.processes.map_process import MarkovianArrivalProcess
@@ -46,6 +45,8 @@ def counting_variance(process: MarkovianArrivalProcess, t: float) -> float:
         raise ValueError(f"t must be non-negative, got {t}")
     if t == 0:
         return 0.0
+    from scipy.linalg import expm  # off the import path: nothing hot calls it
+
     pi = process.phase_stationary
     d1 = process.d1
     q = process.generator

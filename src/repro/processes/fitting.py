@@ -7,8 +7,9 @@ with one degree of freedom (paper Section 3.1).  This module implements:
   and an SCV >= 1 (balanced means).
 * :func:`fit_ipp` -- interrupted Poisson process with the same renewal
   inter-arrival law (high variability, zero autocorrelation).
-* :func:`fit_mmpp2_acf` -- 2-state MMPP matched to (rate, SCV, lag-1 ACF
-  and ACF decay), via bounded least squares.
+* :func:`fit_mmpp2` -- 2-state MMPP matched to (rate, SCV, ACF decay and
+  phase-1 share) by one scalar equation in the phase-1 probability.
+* :func:`fit_mmpp2_acf` -- :func:`fit_mmpp2` checked against a lag-1 ACF.
 * :func:`fit_mmpp2_paper` -- the paper's scheme: ``l1`` is the free
   parameter, the remaining three parameters are solved to match rate, SCV
   and lag-1 ACF.
@@ -17,9 +18,9 @@ with one degree of freedom (paper Section 3.1).  This module implements:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.contracts.checks import check_generator, check_nonnegative
 from repro.contracts.decorator import contracted
@@ -99,37 +100,61 @@ def max_acf1_slow_switching(scv: float, decay: float) -> float:
     return decay * (scv - 1.0) / (2.0 * scv)
 
 
-def _slow_switching_start(
-    rate: float, scv: float, decay: float, p1: float
-) -> tuple[float, float, float, float] | None:
-    """Closed-form MMPP(2) whose descriptors approximate the targets.
-
-    Construct a two-point mixture of exponential means with overall mean
-    ``1/rate`` and between-group variance matching the target SCV, assign
-    fraction ``p1`` of arrivals to the fast phase, then choose the total
-    switching rate so the per-arrival phase-switch probability is
-    ``1 - decay``.  Returns ``(v1, v2, l1, l2)`` or None when infeasible.
-    """
-    mean = 1.0 / rate
-    between_var = (scv - 1.0) * mean**2 / 2.0
-    p2 = 1.0 - p1
-    m1 = mean - math.sqrt(between_var * p2 / p1)
-    m2 = mean + math.sqrt(between_var * p1 / p2)
-    if m1 <= 0:
-        return None
-    l1, l2 = 1.0 / m1, 1.0 / m2
-    pi1 = p1 * rate * m1
-    pi2 = p2 * rate * m2
-    omega = (1.0 - decay) / (pi2 * m1 + pi1 * m2)
-    v1, v2 = omega * pi2, omega * pi1
-    return v1, v2, l1, l2
-
-
 def _check_fitted_mmpp(result: MMPP, *args: object, **kwargs: object) -> None:
     """Postcondition of the MMPP fitters: the returned process must be a
     structurally valid MAP (generator phase process, non-negative D1)."""
     check_generator(result.generator, "fitted MMPP(2) D0+D1")
     check_nonnegative(result.d1, "fitted MMPP(2) D1")
+
+
+def _mmpp2_at(
+    rate: float, share: float, decay: float, pi1: float
+) -> tuple[float, float, float, float]:
+    """``(v1, v2, l1, l2)`` of the MMPP(2) with time-stationary phase-1
+    probability ``pi1`` that has the given rate, phase-1 share and decay.
+
+    The share fixes ``l1 = share rate / pi1`` and
+    ``l2 = (1 - share) rate / (1 - pi1)``.  The decay is the non-unit
+    eigenvalue of ``P = (-D0)^{-1} D1``, i.e. ``det P =
+    l1 l2 / (l1 l2 + (v1 + v2) rate)``, which fixes ``v1 + v2``; and
+    ``pi1 = v2 / (v1 + v2)`` splits it.
+    """
+    l1 = share * rate / pi1
+    l2 = (1.0 - share) * rate / (1.0 - pi1)
+    switching = l1 * l2 * (1.0 - decay) / (decay * rate)
+    return (1.0 - pi1) * switching, pi1 * switching, l1, l2
+
+
+def _mmpp2_scv(v1: float, v2: float, l1: float, l2: float, share: float) -> float:
+    """Inter-arrival SCV of an MMPP(2) whose embedded (arrival-epoch) phase
+    distribution is ``(share, 1 - share)``, from
+    ``E[X^k] = k! phi (-D0)^{-k} e`` in plain floats."""
+    a, d = l1 + v1, l2 + v2  # -D0 = [[a, -v1], [-v2, d]]
+    det = a * d - v1 * v2
+    u1, u2 = (d + v1) / det, (a + v2) / det  # (-D0)^{-1} e
+    w1, w2 = (d * u1 + v1 * u2) / det, (v2 * u1 + a * u2) / det  # (-D0)^{-2} e
+    m1 = share * u1 + (1.0 - share) * u2
+    m2 = 2.0 * (share * w1 + (1.0 - share) * w2)
+    return m2 / (m1 * m1) - 1.0
+
+
+def _bisect(excess: Callable[[float], float], above: float, below: float) -> float:
+    """The root of ``excess`` between ``above`` (where it is positive) and
+    ``below`` (where it is not), bisected until the two are adjacent floats."""
+    while True:
+        mid = 0.5 * (above + below)
+        if mid == above or mid == below:
+            break
+        if excess(mid) > 0:
+            above = mid
+        else:
+            below = mid
+    return above if abs(excess(above)) <= abs(excess(below)) else below
+
+
+#: Relative distance from an open end of a search interval at which the
+#: sign of the SCV excess is probed (the end itself is a degenerate MMPP).
+_END_PROBE = 2.0**-40
 
 
 @contracted(post=_check_fitted_mmpp)
@@ -138,8 +163,6 @@ def fit_mmpp2(
     scv: float,
     decay: float,
     phase1_share: float | None = None,
-    max_restarts: int = 16,
-    tol: float = 1e-8,
 ) -> MMPP:
     """Fit a 2-state MMPP to a mean rate, an SCV and a geometric ACF decay.
 
@@ -150,6 +173,13 @@ def fit_mmpp2(
     ``(rate, scv, decay)`` is the natural complete target set.  The leftover
     degree of freedom is fixed by ``phase1_share``, the fraction of arrivals
     produced in the fast phase.
+
+    The fit is parameterized by ``pi1``, the time-stationary probability of
+    phase 1: rate, share and decay then hold by construction, and ``pi1``
+    solves the one equation ``SCV(pi1) = scv``.  The root is bisected on
+    ``(0, share)``, where ``l1 > l2`` (phase 1 is the bursty phase); only if
+    that interval holds no root is ``(share, 1)`` searched, which gives a
+    fit with the phases swapped (``l1 < l2``).
 
     Parameters
     ----------
@@ -162,15 +192,14 @@ def fit_mmpp2(
         Target ratio ``ACF(2)/ACF(1)`` in (0, 1); values close to 1 give the
         slowly decaying, strongly dependent E-mail-like processes.
     phase1_share:
-        Fraction of arrivals attributed to the bursty phase.  Must exceed
-        ``(scv - 1) / (scv + 1)`` for the two-point mixture behind the fit to
-        exist; by default the midpoint of the feasible interval is used and
-        the share is matched as a fourth residual.  Pass ``None`` explicitly
-        to get the default.
-    max_restarts:
-        Number of restarts of the bounded least-squares search.
-    tol:
-        Maximum acceptable relative residual on each matched quantity.
+        Fraction of arrivals produced in phase 1.  Must exceed
+        ``(scv - 1) / (scv + 1)``; by default the midpoint of the feasible
+        interval is used.  Pass ``None`` explicitly to get the default.
+
+    Raises
+    ------
+    ValueError
+        If an argument is out of range, or no MMPP(2) matches the targets.
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
@@ -186,59 +215,23 @@ def fit_mmpp2(
             f"phase1_share must lie in ({min_share:.4f}, 1) for scv={scv}, "
             f"got {phase1_share}"
         )
+    share = phase1_share
 
-    rng = np.random.default_rng(20060625)  # DSN 2006 -- deterministic fits
+    def excess(pi1: float) -> float:
+        return _mmpp2_scv(*_mmpp2_at(rate, share, decay, pi1), share) - scv
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        v1, v2, l1, l2 = np.exp(x) * rate
-        try:
-            mmpp = MMPP.two_state(v1, v2, l1, l2)
-        except (ValueError, np.linalg.LinAlgError):
-            return np.full(4, 1e3)
-        acf = mmpp.acf(2)
-        observed_decay = acf[1] / acf[0] if abs(acf[0]) > 1e-14 else 0.0
-        pi1 = mmpp.phase_stationary[0]
-        share = pi1 * l1 / mmpp.mean_rate
-        return np.array(
-            [
-                mmpp.mean_rate / rate - 1.0,
-                (mmpp.scv - scv) / max(scv, 1.0),
-                observed_decay - decay,
-                share - phase1_share,
-            ]
-        )
-
-    starts: list[np.ndarray] = []
-    guess = _slow_switching_start(rate, scv, decay, phase1_share)
-    if guess is not None:
-        starts.append(np.log(np.asarray(guess) / rate))
-    for frac in (0.25, 0.5, 0.75, 0.9):
-        p1 = min_share + frac * (1.0 - min_share)
-        guess = _slow_switching_start(rate, scv, decay, p1)
-        if guess is not None:
-            starts.append(np.log(np.asarray(guess) / rate))
-    while len(starts) < max_restarts:
-        starts.append(rng.uniform(np.log(1e-6), np.log(1e2), size=4))
-
-    best: MMPP | None = None
-    best_cost = np.inf
-    for x0 in starts:
-        result = least_squares(
-            residuals, x0, bounds=(np.log(1e-12), np.log(1e6)), xtol=1e-15, ftol=1e-15
-        )
-        cost = float(np.max(np.abs(result.fun)))
-        if cost < best_cost:
-            best_cost = cost
-            v1, v2, l1, l2 = np.exp(result.x) * rate
-            best = MMPP.two_state(v1, v2, l1, l2)
-        if best_cost < tol:
-            break
-    if best is None or best_cost > 1e-4:
-        raise ValueError(
-            f"could not fit MMPP(2) to rate={rate}, scv={scv}, decay={decay}, "
-            f"phase1_share={phase1_share}: best residual {best_cost:.3g}"
-        )
-    return best
+    # At pi1 = share both phases run at the mean rate: a Poisson process,
+    # SCV 1 < scv.  Each side of it held at most one root over a scan of
+    # scv 1.05-20 x decay 0.05-0.999, so a side holds a root iff the
+    # excess is positive near its far end.
+    for far in (share * _END_PROBE, 1.0 - (1.0 - share) * _END_PROBE):
+        if excess(far) > 0:
+            pi1 = _bisect(excess, far, share)
+            return MMPP.two_state(*_mmpp2_at(rate, share, decay, pi1))
+    raise ValueError(
+        f"could not fit MMPP(2) to rate={rate}, scv={scv}, decay={decay}, "
+        f"phase1_share={phase1_share}: no phase-1 probability attains the SCV"
+    )
 
 
 def fit_mmpp2_acf(
@@ -298,6 +291,10 @@ def fit_mmpp2_paper(
         )
     if scv <= 1:
         raise ValueError(f"an MMPP(2) requires scv > 1, got {scv}")
+    # The only scipy.optimize use in the package, so imported here rather
+    # than on the figure path, which fits with fit_mmpp2.
+    from scipy.optimize import least_squares
+
     rng = np.random.default_rng(1251)  # 1251 Waterfront Place
 
     def residuals(x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from bisect import bisect_right
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = ["PhaseType"]
 
@@ -158,6 +157,8 @@ class PhaseType:
 
     def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """Cumulative distribution function ``1 - alpha exp(Tx) e``."""
+        from scipy.linalg import expm  # off the import path: nothing hot calls it
+
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(xs)
@@ -170,6 +171,8 @@ class PhaseType:
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """Probability density ``alpha exp(Tx) t0``."""
+        from scipy.linalg import expm  # off the import path: nothing hot calls it
+
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(xs)

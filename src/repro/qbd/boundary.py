@@ -34,7 +34,6 @@ If a level block is singular, the dense system is solved by least squares.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro.faults import fire as _fault_fire
 from repro.qbd.structure import QBDProcess
@@ -153,12 +152,12 @@ def _gth_stationary(generator: np.ndarray) -> np.ndarray:
                 f"top level is reducible: state {k} has no path to states 0..{k - 1}"
             )
         a[:k, :k] += np.multiply.outer(a[:k, k], row / total)
-    # pi_k outflow_k = sum_{i<k} pi_i a_ik: a triangular solve from pi_0 = 1.
-    t = -np.triu(a[1:, 1:], 1)
-    t[np.diag_indices(n - 1)] = outflow[1:]
+    # pi_k outflow_k = sum_{i<k} pi_i a_ik: forward substitution from
+    # pi_0 = 1, again over non-negative products only.
     pi = np.empty(n)
     pi[0] = 1.0
-    pi[1:] = scipy.linalg.solve_triangular(t, a[0, 1:], trans="T")
+    for k in range(1, n):
+        pi[k] = (pi[:k] @ a[:k, k]) / outflow[k]
     return pi
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from repro.contracts.checks import (
     check_probability_vector,
@@ -69,18 +68,13 @@ class QBDStationaryDistribution:
         return self._pi_boundary
 
     @cached_property
-    def _i_minus_r_lu(self) -> tuple[np.ndarray, np.ndarray]:
-        """LU factorization of ``I - R``, shared by every level sum.
-
-        Factoring once replaces the repeated ``inv(I-R)``-sized work of
-        ``repeating_mass``/``repeating_level_weighted``/``tail_mass`` with
-        one O(m^3) factorization plus O(m^2) triangular solves.
-        """
-        return scipy.linalg.lu_factor(np.eye(self._r.shape[0]) - self._r)
+    def _i_minus_r_transposed(self) -> np.ndarray:
+        """``(I - R)^T``, shared by every level sum."""
+        return (np.eye(self._r.shape[0]) - self._r).T
 
     def _apply_inv_i_minus_r(self, row: np.ndarray) -> np.ndarray:
-        """``row (I-R)^{-1}`` via the cached LU (transposed solve)."""
-        return scipy.linalg.lu_solve(self._i_minus_r_lu, row, trans=1)
+        """``row (I-R)^{-1}``, as the solve ``(I-R)^T x = row^T``."""
+        return np.linalg.solve(self._i_minus_r_transposed, row)
 
     def level(self, k: int) -> np.ndarray:
         """Stationary probabilities of repeating level ``k`` (k >= 1)."""
@@ -115,8 +109,8 @@ class QBDStationaryDistribution:
         ``(I-R)^{-1}`` sums for a whole stack of solutions in one batched
         solve; seeding the ``cached_property`` slots here lets the per-item
         distributions reuse that work.  Seeded values must agree with the
-        lazy LU path to solver accuracy -- they are the same linear systems
-        solved by a different (batched) factorization.
+        lazy per-item solves to solver accuracy -- they are the same linear
+        systems, solved by a batched factorization.
         """
         self.__dict__["repeating_mass"] = repeating_mass
         self.__dict__["repeating_level_weighted"] = repeating_level_weighted

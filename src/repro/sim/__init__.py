@@ -14,9 +14,15 @@ every analytic metric:
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.fgbg import FgBgSimulationResult, FgBgSimulator
-from repro.sim.multiclass import MulticlassSimulationResult, MulticlassSimulator
 from repro.sim.stats import BatchMeans, TimeWeightedAverage, confidence_interval
-from repro.sim.disk import DiskModel
+
+#: Re-exported on first access (PEP 562), so importing the package for the
+#: FG/BG simulator loads neither the multiclass model nor the disk model.
+_LAZY = {
+    "MulticlassSimulationResult": "repro.sim.multiclass",
+    "MulticlassSimulator": "repro.sim.multiclass",
+    "DiskModel": "repro.sim.disk",
+}
 
 __all__ = [
     "EventHandle",
@@ -30,3 +36,12 @@ __all__ = [
     "confidence_interval",
     "DiskModel",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Import a lazily re-exported simulator on first access."""
+    if name in _LAZY:
+        import importlib
+
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
