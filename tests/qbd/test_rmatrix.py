@@ -179,6 +179,22 @@ class TestGMatrix:
             atol=1e-8,
         )
 
+    def test_nearly_critical_g_is_stochastic_to_tolerance(self):
+        # Slowly switching MMPP whose busy phase overloads the server:
+        # sp(R) is within ~5e-6 of 1, and the plain reduction's row sums
+        # stall ~1e-11 away from 1 (it used to fail and fall back to a
+        # ~1e6-step linear iteration).  The shifted rerun reaches tol.
+        a0 = np.array([[1.9, 0.0], [0.0, 0.0]])
+        a1 = np.array([[-2.9 - 4.8765e-5, 4.8765e-5], [4.8765e-5, -1.0 - 4.8765e-5]])
+        a2 = np.eye(2)
+        g = g_matrix_logarithmic_reduction(a0, a1, a2)
+        assert np.abs(1.0 - g.sum(axis=1)).max() < 1e-12
+        np.testing.assert_allclose(a2 + a1 @ g + a0 @ g @ g, 0.0, atol=1e-12)
+        r, stats = r_matrix(a0, a1, a2, return_stats=True)
+        assert stats.fallbacks == ()
+        assert 1.0 - stats.spectral_radius < 1e-5
+        np.testing.assert_allclose(r @ a2.sum(axis=1), a0.sum(axis=1), atol=1e-12)
+
 
 class TestSolveStats:
     def test_return_stats(self):
