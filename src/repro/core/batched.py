@@ -2,14 +2,14 @@
 
 :func:`solve_models_batched` solves many :class:`~repro.core.model.FgBgModel`
 instances through :func:`repro.qbd.batched.solve_qbd_batched`: models are
-grouped by QBD block shape (models with ``bg_probability`` below
-``NEAR_ZERO_BG_PROBABILITY`` build their chain without background states
-and therefore land in their own group), each group runs as one stacked
-solve, and the per-model metrics come out of the same
-:func:`~repro.core.metrics.compute_metrics` pipeline as a sequential
-``model.solve()`` -- so batched and sequential solutions agree to solver
-tolerance (including the deliberate NaN ``bg_completion_rate`` of the
-near-zero-``p`` group).
+grouped by QBD block structure, i.e. block sizes and boundary levels
+(models with ``bg_probability`` below ``NEAR_ZERO_BG_PROBABILITY`` build
+their chain without background states and therefore land in their own
+group), each group runs as one stacked solve, and the per-model metrics
+come out of the same :func:`~repro.core.metrics.compute_metrics` pipeline
+as a sequential ``model.solve()`` -- so batched and sequential solutions
+agree to solver tolerance (including the deliberate NaN
+``bg_completion_rate`` of the near-zero-``p`` group).
 
 With ``on_error="skip"|"collect"`` a poisoned item no longer sinks its
 group: its solution slot is ``None``, its failure is reported (with its
@@ -40,7 +40,6 @@ __all__ = ["solve_models_batched"]
 @overload
 def solve_models_batched(
     models: Iterable[FgBgModel],
-    tol: float = ...,
     return_reports: Literal[False] = ...,
     on_error: Literal["raise"] = ...,
     escalate: bool = ...,
@@ -50,7 +49,6 @@ def solve_models_batched(
 @overload
 def solve_models_batched(
     models: Iterable[FgBgModel],
-    tol: float = ...,
     *,
     return_reports: Literal[True],
     on_error: Literal["raise"] = ...,
@@ -61,7 +59,6 @@ def solve_models_batched(
 @overload
 def solve_models_batched(
     models: Iterable[FgBgModel],
-    tol: float = ...,
     *,
     return_reports: Literal[True],
     on_error: str,
@@ -71,7 +68,6 @@ def solve_models_batched(
 
 def solve_models_batched(
     models: Iterable[FgBgModel],
-    tol: float = 1e-12,
     return_reports: bool = False,
     on_error: str = "raise",
     escalate: bool = False,
@@ -87,8 +83,6 @@ def solve_models_batched(
     models:
         Non-empty sequence of :class:`~repro.core.model.FgBgModel`
         instances.  Shapes may be mixed -- grouping happens here.
-    tol:
-        R-iteration tolerance (matches ``model.solve(tol=...)``).
     return_reports:
         When True, also return one :class:`BatchedSolveReport` per shape
         group, in first-appearance order; failure indices inside the
@@ -134,20 +128,18 @@ def solve_models_batched(
                 message=str(error),
                 error=error,
             )
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, int, tuple[int, ...]], list[int]] = {}
     for index, model in enumerate(models):
         if index in failures:
             continue
         qbd = model.qbd
-        groups.setdefault((qbd.boundary_size, qbd.phase_count), []).append(
-            index
-        )
+        shape = (qbd.boundary_size, qbd.phase_count, qbd.boundary_levels)
+        groups.setdefault(shape, []).append(index)
     solutions: list[FgBgSolution | None] = [None] * len(models)
     reports: list[BatchedSolveReport] = []
-    for (boundary_size, phase_count), indices in groups.items():
+    for indices in groups.values():
         distributions, report = solve_qbd_batched(
             [models[i].qbd for i in indices],
-            tol=tol,
             return_report=True,
             on_error=on_error,
             escalate=escalate,

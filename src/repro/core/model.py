@@ -170,7 +170,6 @@ class FgBgModel:
     def solve(
         self,
         algorithm: str = "logarithmic-reduction",
-        tol: float = 1e-12,
         escalate: bool = False,
     ) -> FgBgSolution:
         """Solve the model and return all stationary metrics.
@@ -179,9 +178,8 @@ class FgBgModel:
         ----------
         algorithm:
             R-matrix algorithm: ``"logarithmic-reduction"`` (default),
-            ``"natural"`` or ``"functional"``.
-        tol:
-            Convergence tolerance of the R iteration.
+            ``"natural"`` or ``"functional"``; each converges to
+            :data:`~repro.qbd.rmatrix.DEFAULT_TOL`.
         escalate:
             Enable the truncated dense-chain rung of the escalation
             ladder (see :func:`repro.qbd.stationary.solve_qbd`): when
@@ -202,9 +200,7 @@ class FgBgModel:
                 f"{self.fg_utilization:.4g} >= 1; no stationary regime exists"
             )
         qbd, space = self._qbd_and_space
-        qbd_solution = solve_qbd(
-            qbd, algorithm=algorithm, tol=tol, escalate=escalate
-        )
+        qbd_solution = solve_qbd(qbd, algorithm=algorithm, escalate=escalate)
         return compute_metrics(
             space=space,
             qbd_solution=qbd_solution,

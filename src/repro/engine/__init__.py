@@ -1,4 +1,4 @@
-"""Sweep execution engine: cached, optionally batched model solves.
+"""Sweep execution engine: cached, stacked model solves.
 
 * :mod:`~repro.engine.engine` -- :class:`SweepEngine`, the executor.
 * :mod:`~repro.engine.config` -- :class:`EngineConfig`, the frozen,

@@ -34,6 +34,10 @@ class EngineConfig:
     serialized into a job spec or a manifest and rebuilt elsewhere.
     Validation happens at construction; an ``EngineConfig`` that exists
     is a valid engine configuration.
+
+    ``batched`` has no effect: every engine solves through the stacked
+    kernel.  The field remains so that configs and job specs that set it
+    still load.
     """
 
     cache_dir: str | None = None

@@ -1,4 +1,4 @@
-"""The sweep engine: cached, optionally batched solves.
+"""The sweep engine: cached, stacked solves.
 
 A parameter sweep solves many nearby :class:`~repro.core.model.FgBgModel`
 instances.  :class:`SweepEngine` exploits that structure two ways:
@@ -6,15 +6,14 @@ instances.  :class:`SweepEngine` exploits that structure two ways:
 * **caching** -- solutions are stored under a content hash of the model
   (see :meth:`FgBgModel.fingerprint`), so repeated points (across figures,
   or across runs with an on-disk cache) are never solved twice;
-* **batching** -- with ``EngineConfig(batched=True)`` the cache-miss
-  models of a whole sweep are grouped by QBD block shape and each group
-  is solved in one stacked kernel call (:mod:`repro.qbd.batched`),
-  replacing N Python-level solver loops with batched ``np.linalg``
-  primitives.
+* **stacking** -- the cache-miss models of a whole sweep are grouped by
+  QBD block structure and each group is solved in one stacked kernel call
+  (:mod:`repro.qbd.batched`), replacing N Python-level solver loops with
+  batched ``np.linalg`` primitives.  This is the engine's only solve path;
+  a single model is a group of one.
 
 Cached results are bit-identical to the solve that populated the entry;
-batched results agree with sequential results to solver tolerance
-(bitwise for the R matrices in practice).
+stacked results agree with ``model.solve()`` to solver tolerance.
 
 Resilience (see :mod:`repro.engine.resilience`): ``on_error`` isolates
 per-point solve failures instead of sinking the sweep, ``escalate``
@@ -30,8 +29,6 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 
-import numpy as np
-
 from repro.contracts.errors import ContractViolation
 from repro.core.batched import solve_models_batched
 from repro.core.model import FgBgModel
@@ -45,19 +42,8 @@ from repro.engine.resilience import (
     failure_from_exception,
 )
 from repro.engine.stats import BatchGroupRecord, EngineStats, SolveRecord
-from repro.qbd.rmatrix import QBDConvergenceError
 
 __all__ = ["SweepEngine"]
-
-#: Solve failures ``on_error`` isolates: solver divergence, a singular
-#: boundary system, an invalid/unstable model, a contract violation.
-#: Anything else (a TypeError, a genuine bug) always propagates.
-_SOLVE_FAILURES = (
-    QBDConvergenceError,
-    np.linalg.LinAlgError,
-    ContractViolation,
-    ValueError,
-)
 
 
 class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post_init__
@@ -73,14 +59,9 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
         * ``cache_dir`` -- every engine caches solves in memory
           (:attr:`cache`); a directory adds an on-disk layer shared
           across runs and processes.
-        * ``batched`` -- solve the cache-miss models of each
-          :meth:`run_chain` / :meth:`run_chains` call through the stacked
-          kernel (:mod:`repro.qbd.batched`): pending models are grouped
-          by QBD block shape and each group becomes one batched solve,
-          recorded as a :class:`~repro.engine.stats.BatchGroupRecord`.
-          Batched results agree with sequential results to solver
-          tolerance.  Caching composes: hits are served per model, only
-          misses enter a batch.
+        * ``batched`` -- has no effect (see
+          :class:`~repro.engine.config.EngineConfig`): every engine
+          solves through the stacked kernel.
         * ``on_error`` -- ``"raise"`` (default) propagates the first
           solve failure.  ``"skip"`` and ``"collect"`` isolate failures
           per point: the failed point's solution slot is ``None`` (NaN in
@@ -98,16 +79,15 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
           flagged ``degraded`` in their
           :class:`~repro.qbd.rmatrix.SolveStats`.
     progress:
-        Optional callback ``progress(points)`` invoked with the number of
-        points just served (fresh solve, cache hit, or isolated failure).
-        Per-point on the sequential path; per batch on the batched path.
-        The background-job layer uses this to report per-point job
-        progress.
+        Optional callback ``progress(points)`` invoked once per
+        :meth:`solve_batch` call with the number of points it served
+        (fresh solves, cache hits and isolated failures).  The
+        background-job layer uses this to report job progress.
     cancel:
-        Optional callback ``cancel() -> bool`` polled between solves (and
-        before each batch); returning True raises
+        Optional callback ``cancel() -> bool`` polled before each
+        :meth:`solve_batch` call; returning True raises
         :class:`~repro.engine.resilience.SweepCancelled`.  Cooperative:
-        a solve already in flight finishes first.
+        a stacked solve already in flight finishes first.
     """
 
     def __init__(
@@ -122,19 +102,6 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
         self.progress = progress
         self.cancel = cancel
         self.stats = EngineStats()
-
-    # ------------------------------------------------------------------
-    # Progress and cancellation hooks
-    # ------------------------------------------------------------------
-    def _tick(self, points: int = 1) -> None:
-        """Report ``points`` served to the progress hook, if any."""
-        if self.progress is not None and points:
-            self.progress(points)
-
-    def _check_cancelled(self) -> None:
-        """Raise :class:`SweepCancelled` when the cancel hook says stop."""
-        if self.cancel is not None and self.cancel():
-            raise SweepCancelled("sweep cancelled by the engine's cancel hook")
 
     # ------------------------------------------------------------------
     # Failure bookkeeping
@@ -177,39 +144,14 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
             return None
 
     def solve(self, model: FgBgModel) -> FgBgSolution | None:
-        """Solve one model, consulting the cache first.
+        """Solve one model, consulting the cache first: ``solve_batch([model])[0]``.
 
         With ``on_error="skip"``/``"collect"`` a failed solve returns
         ``None`` instead of raising (see the class docstring); failed
         points get no :class:`~repro.engine.stats.SolveRecord` -- their
         :class:`~repro.engine.resilience.FailedSolve` is the record.
         """
-        self._check_cancelled()
-        fingerprint = model.fingerprint()
-        key = solve_key(fingerprint)
-        cached = self._cache_lookup(key, fingerprint)
-        if cached is not None:
-            self.stats.add(
-                SolveRecord(fingerprint, cache_hit=True, stats=cached.solve_stats)
-            )
-            self._tick()
-            return cached
-        try:
-            solution = model.solve(escalate=self.config.escalate)
-        except _SOLVE_FAILURES as exc:
-            if self.config.on_error == "raise":
-                raise
-            self._record_failure(
-                failure_from_exception(fingerprint, exc, stage="solve")
-            )
-            self._tick()
-            return None
-        self.cache.put(key, solution)
-        self.stats.add(
-            SolveRecord(fingerprint, cache_hit=False, stats=solution.solve_stats)
-        )
-        self._tick()
-        return solution
+        return self.solve_batch([model])[0]
 
     # ------------------------------------------------------------------
     # Batches
@@ -217,30 +159,32 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
     def solve_batch(
         self, models: Iterable[FgBgModel]
     ) -> list[FgBgSolution | None]:
-        """Solve many models through the batched kernel, cache first.
+        """Solve many models through the stacked kernel, cache first.
 
         Cache hits (and duplicate models) are served individually; the
-        remaining misses are deduplicated, grouped by QBD block shape and
-        solved by :func:`~repro.core.batched.solve_models_batched` -- one
-        stacked kernel call per group, recorded in
+        remaining misses are deduplicated, grouped by QBD block structure
+        and solved by :func:`~repro.core.batched.solve_models_batched` --
+        one stacked kernel call per group, recorded in
         :attr:`stats` ``.batch_groups``.  Solutions come back in input
-        order and fresh ones populate the cache, so a later sequential or
-        batched run over the same models is all hits.  With
+        order and fresh ones populate the cache, so a later run over the
+        same models is all hits.  With
         ``on_error="skip"``/``"collect"``, a poisoned item is isolated to
         its own slot (``None``) per the kernel's item-level fallback --
         the rest of its shape group solves normally.
         """
-        self._check_cancelled()
+        if self.cancel is not None and self.cancel():
+            raise SweepCancelled("sweep cancelled by the engine's cancel hook")
         models = list(models)
         if not models:
             return []
-        keys = [solve_key(m.fingerprint()) for m in models]
+        fingerprints = [m.fingerprint() for m in models]
+        keys = [solve_key(f) for f in fingerprints]
         served: dict[str, FgBgSolution | None] = {}
         pending: dict[str, FgBgModel] = {}
-        for model, key in zip(models, keys):
+        for model, fingerprint, key in zip(models, fingerprints, keys):
             if key in served or key in pending:
                 continue
-            cached = self._cache_lookup(key, model.fingerprint())
+            cached = self._cache_lookup(key, fingerprint)
             if cached is not None:
                 served[key] = cached
                 continue
@@ -279,20 +223,21 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
                 served[key] = solution
         fresh_remaining = set(pending)
         results: list[FgBgSolution | None] = []
-        for model, key in zip(models, keys):
+        for fingerprint, key in zip(fingerprints, keys):
             solution = served[key]
             cache_hit = key not in fresh_remaining
             fresh_remaining.discard(key)
             if solution is not None:
                 self.stats.add(
                     SolveRecord(
-                        model.fingerprint(),
+                        fingerprint,
                         cache_hit=cache_hit,
                         stats=solution.solve_stats,
                     )
                 )
             results.append(solution)
-        self._tick(len(results))
+        if self.progress is not None:
+            self.progress(len(results))
         return results
 
     # ------------------------------------------------------------------
@@ -303,13 +248,10 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
     ) -> list[FgBgSolution | None]:
         """Solve a sequence of models, returning solutions in input order.
 
-        With ``config.batched`` on, the models go to :meth:`solve_batch`;
-        otherwise each is handed to :meth:`solve` in turn.  Failed points
-        (isolated by ``on_error``) are ``None`` slots.
+        One :meth:`solve_batch` call.  Failed points (isolated by
+        ``on_error``) are ``None`` slots.
         """
-        if self.config.batched:
-            return self.solve_batch(models)
-        return [self.solve(model) for model in models]
+        return self.solve_batch(models)
 
     def run_chains(
         self, chains: Sequence[Sequence[FgBgModel]]
@@ -317,8 +259,8 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
         """Solve several chains as one :meth:`run_chain` call.
 
         The chains are flattened, solved, and split back in chain order,
-        so a batched run pools every chain into one :meth:`solve_batch`
-        (cross-chain duplicates are solved once).
+        so every chain is pooled into one :meth:`solve_batch` (cross-chain
+        duplicates are solved once).
         """
         chains = [list(chain) for chain in chains]
         solutions = self.run_chain(model for chain in chains for model in chain)

@@ -47,7 +47,7 @@ ON_ERROR_MODES = ("raise", "skip", "collect")
 
 #: Pipeline stages a :class:`FailedSolve` can originate from.
 FAILURE_STAGES = (
-    "solve",  # a sequential model solve (R matrix, boundary, metrics)
+    "solve",  # one model solve (the default of failure_from_exception)
     "batched",  # an item of a batched kernel call
     "cache-load",  # a corrupt on-disk cache entry (quarantined, re-solved)
 )

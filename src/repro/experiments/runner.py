@@ -19,7 +19,6 @@ def build_config(args) -> EngineConfig:
     """The run's :class:`EngineConfig`, from the parsed CLI options."""
     return EngineConfig(
         cache_dir=args.cache,
-        batched=args.batched,
         on_error=args.on_error,
         escalate=args.escalate,
     )
@@ -64,13 +63,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "always shared in memory across the figures of one run), and "
         "record per-figure completion in DIR/run-manifest.json for "
         "--resume",
-    )
-    parser.add_argument(
-        "--batched",
-        action="store_true",
-        help="solve each sweep's cache misses through the stacked "
-        "matrix-geometric kernel, grouped by chain shape (results agree "
-        "with sequential solves to solver tolerance)",
     )
     parser.add_argument(
         "--on-error",

@@ -4,8 +4,8 @@ The generic entry point is :func:`sweep`: a base model, a
 :class:`SweepAxis` describing which parameter varies, and a metric (a
 string key of :data:`repro.core.METRICS` or a callable).  Solves are
 executed through a :class:`~repro.engine.SweepEngine`, which supplies
-caching and, configured with ``batched=True``, stacked solves that pool
-every curve of a :func:`sweep_many` call.
+caching and stacked solves that pool every curve of a :func:`sweep_many`
+call.
 
 The pre-engine entry points ``load_sweep_series`` and
 ``idle_wait_sweep_series`` were removed when the engine landed; their
@@ -117,8 +117,8 @@ def sweep(
     ``metric`` is a key of :data:`repro.core.METRICS` (e.g. ``"qlen_fg"``)
     or any callable on :class:`FgBgSolution`.  The solves run on
     ``engine`` (default: a fresh ``SweepEngine()``); its
-    :class:`~repro.engine.EngineConfig` decides batching and whether a
-    failed point raises or becomes NaN in the series (see
+    :class:`~repro.engine.EngineConfig` decides whether a failed point
+    raises or becomes NaN in the series (see
     :mod:`repro.engine.resilience`).
     """
     metric_fn = resolve_metric(metric)
@@ -142,8 +142,8 @@ def sweep_many(
 ) -> list[Series]:
     """One curve per background probability along ``axis``.
 
-    Each probability is one chain of :meth:`SweepEngine.run_chains`, so a
-    batched engine pools every curve's points into stacked kernel calls.
+    Each probability is one chain of :meth:`SweepEngine.run_chains`, so
+    every curve's points are pooled into stacked kernel calls.
     ``engine`` defaults to a fresh ``SweepEngine()``, as in :func:`sweep`.
     """
     metric_fn = resolve_metric(metric)

@@ -135,7 +135,7 @@ class JobService:
 
         A PENDING job is transitioned to CANCELLED on the spot.  A
         RUNNING job gets its ``cancel_requested`` flag set; the owning
-        worker observes it at the next sweep point, stops, and records
+        worker observes it before its next stacked solve, stops, and records
         the CANCELLED terminal state.  Terminal jobs are returned
         unchanged (cancellation is idempotent).
         """

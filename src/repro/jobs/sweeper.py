@@ -15,12 +15,14 @@ Staleness has two independent signals:
 * *dead owner*: the worker id is ``"<pid>@<host>"``; for owners on this
   host, a pid that no longer exists is conclusive (no lease wait);
 * *stale heartbeat*: for remote or unverifiable owners, a heartbeat
-  older than the lease (solving emits a heartbeat per sweep point, so
-  the lease only needs to exceed the slowest single solve).
+  older than the lease (solving emits a heartbeat per stacked solve --
+  one :meth:`~repro.engine.SweepEngine.solve_batch` call, often a whole
+  sweep -- so the lease must exceed the slowest stacked solve, not just
+  the slowest single point).
 
 Heartbeat evidence is weaker than a dead pid: a lease shorter than the
-slowest solve *steals* jobs from live workers (the documented gotcha).
-The sweeper defends itself: when a job's own progress implies a
+slowest stacked solve *steals* jobs from live workers (the documented
+gotcha).  The sweeper defends itself: when a job's own progress implies a
 heartbeat interval within 2x of the configured lease, the effective
 lease for that job is clamped to 2x the observed interval (with a
 :class:`LeaseClampWarning`), and every heartbeat-evidence requeue is
@@ -121,8 +123,8 @@ class StaleJobSweeper:
         The queue to sweep.
     lease_ms:
         Heartbeat age beyond which an owner that is not provably dead is
-        presumed dead.  Heartbeats tick once per solved point, so this
-        must exceed the slowest single solve -- the per-job clamp (see
+        presumed dead.  Heartbeats tick once per stacked solve, so this
+        must exceed the slowest one -- the per-job clamp (see
         module docstring) papers over a misconfiguration but is not a
         substitute for setting it right.
     quarantine_after:

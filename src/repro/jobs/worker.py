@@ -10,9 +10,10 @@ the blocking path by construction.
 The engine's two runtime hooks tie execution back to the durable record:
 
 * the ``progress`` hook writes ``points_done`` (doubling as the
-  heartbeat the sweeper watches);
-* the ``cancel`` hook re-reads the record each sweep point and stops
-  cooperatively -- raising
+  heartbeat the sweeper watches) once per stacked solve, i.e. per
+  :meth:`~repro.engine.SweepEngine.solve_batch` call;
+* the ``cancel`` hook re-reads the record before each stacked solve and
+  stops cooperatively -- raising
   :class:`~repro.engine.resilience.SweepCancelled` inside the engine --
   when cancellation was requested or the job was requeued under us
   (another worker owns it now; we must not write anything).

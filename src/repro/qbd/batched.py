@@ -14,7 +14,9 @@ Python overhead is paid once per *batch* instead of once per *point*:
   minimality certificate are re-solved through the scalar
   :func:`~repro.qbd.rmatrix.r_matrix` path (which also performs the full
   drift/stability diagnosis and raises its usual errors);
-* **batched boundary solve** and **stacked level-sum extraction**
+* **stacked boundary solve** -- the level-by-level reduction of
+  :func:`repro.qbd.boundary.solve_boundaries`, one failed item never
+  failing another -- and **stacked level-sum extraction**
   (``pi_1 (I-R)^{-1}``, ``pi_1 (I-R)^{-2}``) feeding the per-item
   :class:`~repro.qbd.stationary.QBDStationaryDistribution` objects.
 
@@ -23,10 +25,9 @@ scalar path: an unstable item cannot converge to a stochastic ``G``, so it
 lands in the scalar fallback, which performs the drift diagnosis and
 raises the same ``ValueError`` a sequential solve would.  Accepted items
 still pass the per-item ``sp(R) < 1`` postcondition, so batched results
-agree with sequential results to solver tolerance (R in practice bitwise,
-since the stacked BLAS calls perform the identical per-slice operations;
-the boundary vectors to rounding, since the stack solves each boundary
-system densely where the scalar path eliminates it level by level).
+agree with sequential results to solver tolerance (in practice to
+rounding: the stacked calls perform the per-slice operations of the scalar
+path, whose boundary solve is the one-item case of the same code).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.contracts.checks import (
 )
 from repro.faults import fire as _fault_fire
 from repro.contracts.errors import ContractViolation
-from repro.qbd.boundary import solve_boundary
+from repro.qbd.boundary import solve_boundaries
 from repro.qbd.rmatrix import (
     DEFAULT_TOL,
     QBDConvergenceError,
@@ -354,7 +355,6 @@ def batched_r_matrix(
     a0: ArrayLike,
     a1: ArrayLike,
     a2: ArrayLike,
-    tol: float = ...,
     blocks_validated: bool = ...,
     return_stats: Literal[False] = ...,
     on_error: str = ...,
@@ -366,7 +366,6 @@ def batched_r_matrix(
     a0: ArrayLike,
     a1: ArrayLike,
     a2: ArrayLike,
-    tol: float = ...,
     blocks_validated: bool = ...,
     *,
     return_stats: Literal[True],
@@ -378,7 +377,6 @@ def batched_r_matrix(
     a0: ArrayLike,
     a1: ArrayLike,
     a2: ArrayLike,
-    tol: float = DEFAULT_TOL,
     blocks_validated: bool = False,
     return_stats: bool = False,
     on_error: str = "raise",
@@ -396,9 +394,8 @@ def batched_r_matrix(
     Parameters
     ----------
     a0, a1, a2:
-        Block stacks of shape ``(N, m, m)``.
-    tol:
-        Convergence tolerance of the underlying iterations.
+        Block stacks of shape ``(N, m, m)``; the iterations converge to
+        :data:`~repro.qbd.rmatrix.DEFAULT_TOL`.
     blocks_validated:
         Caller's certificate that every item already passed the
         generator/row-split precondition and is frozen read-only (true for
@@ -431,7 +428,9 @@ def batched_r_matrix(
     if not blocks_validated and contracts_enabled():
         _check_block_stack(a0, a1, a2)
     start = time.perf_counter()
-    g, iterations, failed = _batched_logred_g(a0, a1, a2, tol, LOGRED_MAX_ITER)
+    g, iterations, failed = _batched_logred_g(
+        a0, a1, a2, DEFAULT_TOL, LOGRED_MAX_ITER
+    )
     r = np.zeros_like(a0)
     ok = np.flatnonzero(~failed)
     if ok.size:
@@ -462,7 +461,6 @@ def batched_r_matrix(
                 a0[i],
                 a1[i],
                 a2[i],
-                tol=tol,
                 return_stats=True,
                 blocks_validated=blocks_validated,
             )
@@ -515,102 +513,9 @@ def batched_r_matrix(
     return r, stats_list, report
 
 
-def _batched_boundary(
-    qbds: list[QBDProcess], r: FloatArray, on_error: str = "raise"
-) -> tuple[FloatArray, FloatArray, list[tuple[int, BaseException]]]:
-    """Stacked boundary solve: ``(pi_0, pi_1, failed)`` -- jointly normalized.
-
-    Per item this assembles the whole boundary system of
-    :func:`repro.qbd.boundary.solve_boundary` densely (balance equations
-    plus normalization) and solves the stack with one LU call; the scalar
-    path reaches the same solution level by level, so the two agree to
-    rounding.  Items whose batched solve goes singular or significantly
-    negative are re-solved (and error checked) through the scalar path.  In isolation mode a scalar re-solve
-    that *raises* lands in the returned ``failed`` list (its ``pi`` rows
-    are NaN) instead of propagating.
-    """
-    n = len(qbds)
-    n_b, m = qbds[0].boundary_size, qbds[0].phase_count
-    # Per-item fault check mirroring the scalar solve_boundary hook; a
-    # fired item fails with the same injected LinAlgError a sequential
-    # solve would raise.
-    failed_items: list[tuple[int, BaseException]] = []
-    injected = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if _fault_fire("singular_boundary"):
-            exc: BaseException = np.linalg.LinAlgError(
-                "boundary system is singular (injected fault "
-                "singular_boundary)"
-            )
-            if on_error == "raise":
-                raise exc
-            injected[i] = True
-            failed_items.append((i, exc))
-    big = np.zeros((n, n_b + m, n_b + m))
-    big[:, :n_b, :n_b] = np.stack([q.b00 for q in qbds])
-    big[:, :n_b, n_b:] = np.stack([q.b01 for q in qbds])
-    big[:, n_b:, :n_b] = np.stack([q.b10 for q in qbds])
-    a1 = np.stack([q.a1 for q in qbds])
-    a2 = np.stack([q.a2 for q in qbds])
-    big[:, n_b:, n_b:] = a1 + r @ a2
-
-    eye = np.eye(m)
-    # RHS kept explicitly 3-D: stacked-solve vector dispatch differs
-    # between numpy 1.x and 2.x for a 2-D RHS.
-    tail_weights = np.linalg.solve(eye - r, np.ones((n, m, 1)))[..., 0]
-    norm_rows = np.concatenate([np.ones((n, n_b)), tail_weights], axis=1)
-
-    a = big.transpose(0, 2, 1).copy()
-    diag = np.diagonal(big, axis1=1, axis2=2)
-    drop = np.argmax(np.abs(diag), axis=1)
-    rows = np.arange(n)
-    a[rows, drop, :] = norm_rows
-    rhs = np.zeros((n, n_b + m))
-    rhs[rows, drop] = 1.0
-
-    pi0 = np.empty((n, n_b))
-    pi1 = np.empty((n, m))
-    try:
-        x = np.linalg.solve(a, rhs[..., None])[..., 0]
-        scalar_items = np.flatnonzero(
-            (~np.isfinite(x).all(axis=1))
-            | (
-                x.min(axis=1)
-                < -1e-8 * np.maximum(1.0, np.abs(x).max(axis=1))
-            )
-        )
-    except np.linalg.LinAlgError:
-        x = None
-        scalar_items = rows
-    inj_idx = np.flatnonzero(injected)
-    scalar_items = np.setdiff1d(scalar_items, inj_idx)
-    pi0[inj_idx] = np.nan
-    pi1[inj_idx] = np.nan
-    if x is not None:
-        good = np.setdiff1d(rows, np.union1d(scalar_items, inj_idx))
-        xg = np.clip(x[good], 0.0, None)
-        total = xg[:, :n_b].sum(axis=1) + np.einsum(
-            "ni,ni->n", xg[:, n_b:], tail_weights[good]
-        )
-        xg /= total[:, None]
-        pi0[good] = xg[:, :n_b]
-        pi1[good] = xg[:, n_b:]
-    for i in scalar_items:
-        try:
-            pi0[i], pi1[i] = solve_boundary(qbds[i], r[i])
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            if on_error == "raise":
-                raise
-            pi0[i] = np.nan
-            pi1[i] = np.nan
-            failed_items.append((int(i), exc))
-    return pi0, pi1, failed_items
-
-
 @overload
 def solve_qbd_batched(
     qbds: Iterable[QBDProcess],
-    tol: float = ...,
     return_report: Literal[False] = ...,
     on_error: Literal["raise"] = ...,
     escalate: bool = ...,
@@ -620,7 +525,6 @@ def solve_qbd_batched(
 @overload
 def solve_qbd_batched(
     qbds: Iterable[QBDProcess],
-    tol: float = ...,
     *,
     return_report: Literal[True],
     on_error: Literal["raise"] = ...,
@@ -631,7 +535,6 @@ def solve_qbd_batched(
 @overload
 def solve_qbd_batched(
     qbds: Iterable[QBDProcess],
-    tol: float = ...,
     *,
     return_report: Literal[True],
     on_error: str,
@@ -641,7 +544,6 @@ def solve_qbd_batched(
 
 def solve_qbd_batched(
     qbds: Iterable[QBDProcess],
-    tol: float = DEFAULT_TOL,
     return_report: bool = False,
     on_error: str = "raise",
     escalate: bool = False,
@@ -653,19 +555,19 @@ def solve_qbd_batched(
     """Solve ``N`` same-shape QBDs end to end in one stacked pipeline.
 
     The batched counterpart of :func:`repro.qbd.stationary.solve_qbd`:
-    stacked R matrices (:func:`batched_r_matrix`), a batched boundary
-    solve, and the ``(I-R)^{-1}`` level sums of *all* items extracted with
-    two batched linear solves, seeded into the returned per-item
-    distributions.  Mixed-shape inputs are rejected -- group by
-    ``(boundary_size, phase_count)`` first (the sweep engine does).
+    stacked R matrices (:func:`batched_r_matrix`), the stacked boundary
+    solve (:func:`repro.qbd.boundary.solve_boundaries`), and the
+    ``(I-R)^{-1}`` level sums of *all* items extracted with two batched
+    linear solves, seeded into the returned per-item distributions.
+    Mixed-structure inputs are rejected -- group by ``(boundary_size,
+    phase_count, boundary_levels)`` first
+    (:func:`repro.core.batched.solve_models_batched` does).
 
     Parameters
     ----------
     qbds:
         Non-empty sequence of :class:`~repro.qbd.structure.QBDProcess`
-        instances sharing one block shape.
-    tol:
-        R-iteration tolerance.
+        instances sharing one block structure.
     return_report:
         When True, return ``(distributions, report)``.
     on_error:
@@ -696,7 +598,7 @@ def solve_qbd_batched(
             raise TypeError(
                 f"expected QBDProcess instances, got {type(q).__name__}"
             )
-    shapes = {(q.boundary_size, q.phase_count) for q in qbds}
+    shapes = {(q.boundary_size, q.phase_count, q.boundary_levels) for q in qbds}
     if len(shapes) > 1:
         raise ValueError(
             f"mixed block shapes {sorted(shapes)}; group same-shape QBDs "
@@ -715,7 +617,6 @@ def solve_qbd_batched(
         np.stack([q.a0 for q in qbds]),
         np.stack([q.a1 for q in qbds]),
         np.stack([q.a2 for q in qbds]),
-        tol=tol,
         blocks_validated=True,
         return_stats=True,
         on_error="collect" if isolate else "raise",
@@ -755,12 +656,10 @@ def solve_qbd_batched(
         if distributions[i] is None and i not in failures
     ]
     if pending:
-        sub_pi0, sub_pi1, boundary_failed = _batched_boundary(
-            [qbds[i] for i in pending],
-            r[pending],
-            on_error="collect" if isolate else "raise",
+        sub_pi0, sub_pi1, boundary_failed = solve_boundaries(
+            [qbds[i] for i in pending], r[pending]
         )
-        for local, exc in boundary_failed:
+        for local, exc in boundary_failed.items():
             i = pending[local]
             if escalate:
                 _escalate_item(i, (BATCHED_ALGORITHM, "boundary"), exc)

@@ -27,18 +27,26 @@ solved by linear level reduction (Latouche & Ramaswami, ch. 10): with
   scaled to unit total mass;
 * back-substitution ``pi_{j-1} = -pi_j W_j``.
 
-A single declared level reduces this to the Schur complement of ``B00``.
-If a level block is singular, the dense system is solved by least squares.
+:func:`solve_boundaries` runs this reduction for ``N`` QBDs of one block
+structure at once, every step stacked on a leading item axis;
+:func:`solve_boundary` is its one-item call.  Only the level slices are
+stacked, never whole ``B00`` blocks (at ``X = 25`` one is 14.6 MB).  A
+single declared level reduces this to the Schur complement of ``B00``.  If
+a level block of an item is singular, that item's dense system is solved
+by least squares.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
+from repro._types import FloatArray
 from repro.faults import fire as _fault_fire
 from repro.qbd.structure import QBDProcess
 
-__all__ = ["solve_boundary"]
+__all__ = ["solve_boundaries", "solve_boundary"]
 
 
 def solve_boundary(
@@ -51,19 +59,78 @@ def solve_boundary(
     tuple
         ``pi_0`` of length ``qbd.boundary_size`` and ``pi_1`` of length
         ``qbd.phase_count``, jointly normalized with the geometric tail.
+
+    Raises
+    ------
+    ValueError
+        If ``R`` has the wrong shape or does not fit the blocks, or the
+        solve yields a significantly negative probability.
+    numpy.linalg.LinAlgError
+        If ``I - R`` is singular.
     """
-    if _fault_fire("singular_boundary"):
-        # An exactly singular boundary system would surface here as a
-        # LinAlgError before the lstsq fallback could run; injecting the
-        # same exception exercises the escalation path deterministically.
-        raise np.linalg.LinAlgError(
-            "boundary system is singular (injected fault singular_boundary)"
-        )
-    n_b, m = qbd.boundary_size, qbd.phase_count
+    m = qbd.phase_count
     r = np.asarray(r, dtype=float)
     if r.shape != (m, m):
         raise ValueError(f"R must have shape {(m, m)}, got {r.shape}")
+    pi0, pi1, failures = solve_boundaries([qbd], r[None])
+    if failures:
+        raise failures[0]
+    return pi0[0], pi1[0]
 
+
+def solve_boundaries(
+    qbds: Sequence[QBDProcess], r: np.ndarray
+) -> tuple[FloatArray, FloatArray, dict[int, Exception]]:
+    """Stacked boundary solve of ``N`` QBDs with one block structure.
+
+    ``qbds`` share ``boundary_size``, ``phase_count`` and
+    ``boundary_levels``; ``r`` stacks their rate matrices, ``(N, m, m)``.
+
+    Returns
+    -------
+    tuple
+        ``(pi_0, pi_1, failures)``: ``(N, n_b)`` and ``(N, m)`` arrays,
+        jointly normalized per item, and the exception each failed item
+        raised, by index in ascending order (the error :func:`solve_boundary`
+        raises for it alone).  A failed item's rows are NaN; it never
+        fails another item.
+    """
+    qbd = qbds[0]
+    n, n_b, m = len(qbds), qbd.boundary_size, qbd.phase_count
+    structure = (n_b, m, qbd.boundary_levels)
+    if any(
+        (q.boundary_size, q.phase_count, q.boundary_levels) != structure
+        for q in qbds
+    ):
+        raise ValueError("solve_boundaries needs QBDs of one block structure")
+    r = np.asarray(r, dtype=float)
+    if r.shape != (n, m, m):
+        raise ValueError(f"R must have shape {(n, m, m)}, got {r.shape}")
+    failures: dict[int, Exception] = {}
+    for i in range(n):
+        if _fault_fire("singular_boundary"):
+            # An exactly singular boundary system would surface here as a
+            # LinAlgError before the lstsq fallback could run; injecting
+            # the same exception exercises the escalation path
+            # deterministically.
+            failures[i] = np.linalg.LinAlgError(
+                "boundary system is singular (injected fault singular_boundary)"
+            )
+
+    a1 = np.stack([q.a1 for q in qbds])
+    a2 = np.stack([q.a2 for q in qbds])
+    eye = np.eye(m)
+    # RHS kept explicitly 3-D: stacked-solve vector dispatch differs
+    # between numpy 1.x and 2.x for a 2-D RHS.
+    try:
+        tail_weights = np.linalg.solve(eye - r, np.ones((n, m, 1)))[..., 0]
+    except np.linalg.LinAlgError:
+        tail_weights = np.full((n, m), np.nan)
+        for i in range(n):
+            try:
+                tail_weights[i] = np.linalg.solve(eye - r[i], np.ones(m))
+            except np.linalg.LinAlgError as exc:
+                failures.setdefault(i, exc)
     # The top level is solved as a generator, which it is only when
     # R A2 e = A0 e (true of the minimal R of a positive recurrent QBD):
     # reject an R that does not fit the blocks instead of answering for
@@ -72,92 +139,137 @@ def solve_boundary(
     # to a residual eps misses by up to eps ||(I - R)^{-1}||, and near
     # saturation that norm (the largest tail weight) reaches 1e5.  The
     # bound is therefore on the residual, not on the defect itself.
-    tail_weights = np.linalg.solve(np.eye(m) - r, np.ones(m))
-    defect = float(np.abs(r @ qbd.a2.sum(axis=1) - qbd.a0.sum(axis=1)).max())
-    rate_scale = max(1.0, float(np.abs(np.diag(qbd.a1)).max()))
-    if not defect <= 1e-8 * rate_scale * max(1.0, float(np.abs(tail_weights).max())):
-        raise ValueError(
-            f"R does not fit the QBD blocks: R A2 e - A0 e reaches {defect:.3g}"
-        )
-    top = qbd.a1 + r @ qbd.a2
-    try:
-        x = _level_reduction(qbd, top, tail_weights)
-    except np.linalg.LinAlgError:
-        x = _dense_lstsq(qbd, top, tail_weights)
+    up_rates = (r @ a2.sum(axis=2)[..., None])[..., 0]
+    defect = np.abs(up_rates - np.stack([q.a0.sum(axis=1) for q in qbds])).max(axis=1)
+    rate_scale = np.maximum(1.0, np.abs(np.diagonal(a1, axis1=1, axis2=2)).max(axis=1))
+    limit = 1e-8 * rate_scale * np.maximum(1.0, np.abs(tail_weights).max(axis=1))
+    for i in np.flatnonzero(~(defect <= limit)):
+        failures.setdefault(int(i), ValueError(
+            f"R does not fit the QBD blocks: R A2 e - A0 e reaches {defect[i]:.3g}"
+        ))
 
-    if np.any(x < -1e-8 * max(1.0, float(np.abs(x).max()))):
-        raise ValueError(
+    x = np.full((n, n_b + m), np.nan)
+    ok = [i for i in range(n) if i not in failures]
+    if ok:
+        top = a1[ok] + r[ok] @ a2[ok]
+        try:
+            x[ok] = _level_reduction([qbds[i] for i in ok], top, tail_weights[ok])
+        except np.linalg.LinAlgError:
+            # Some item has a singular level block or a reducible top
+            # level: reduce each item alone, so that only those items take
+            # the dense fallback.
+            for k, i in enumerate(ok):
+                try:
+                    x[i] = _solve_alone(qbds[i], top[k], tail_weights[i])
+                except np.linalg.LinAlgError as exc:
+                    failures[i] = exc
+
+    least = x.min(axis=1)
+    for i in np.flatnonzero(least < -1e-8 * np.maximum(1.0, np.abs(x).max(axis=1))):
+        failures.setdefault(int(i), ValueError(
             f"boundary solve produced a significantly negative probability "
-            f"({x.min():.3g}); the QBD blocks are likely inconsistent"
-        )
+            f"({least[i]:.3g}); the QBD blocks are likely inconsistent"
+        ))
     x = np.clip(x, 0.0, None)
-    total = x[:n_b].sum() + x[n_b:] @ tail_weights
-    x /= total
-    return x[:n_b], x[n_b:]
+    tail_mass = (x[:, None, n_b:] @ tail_weights[..., None])[:, 0, 0]
+    x /= (x[:, :n_b].sum(axis=1) + tail_mass)[:, None]
+    if failures:
+        x[list(failures)] = np.nan
+    return x[:, :n_b], x[:, n_b:], dict(sorted(failures.items()))
+
+
+def _solve_alone(
+    qbd: QBDProcess, top: np.ndarray, tail_weights: np.ndarray
+) -> np.ndarray:
+    """One item's ``x``: level reduction, or least squares if a level is singular."""
+    try:
+        return _level_reduction([qbd], top[None], tail_weights[None])[0]
+    except np.linalg.LinAlgError:
+        return _dense_lstsq(qbd, top, tail_weights)
 
 
 def _level_reduction(
-    qbd: QBDProcess, top: np.ndarray, tail_weights: np.ndarray
+    qbds: Sequence[QBDProcess], top: np.ndarray, tail_weights: np.ndarray
 ) -> np.ndarray:
-    """``x = [pi_0, pi_1]`` with ``x M = 0`` and unit total mass."""
-    b00 = qbd.b00
-    edges = np.cumsum((0, *qbd.boundary_levels))
+    """``x = [pi_0, pi_1]`` per item, with ``x M = 0`` and unit total mass.
+
+    Raises ``LinAlgError`` if any item has a singular level block or a
+    reducible top level.
+    """
+    edges = np.cumsum((0, *qbds[0].boundary_levels))
     k = len(edges) - 1  # boundary levels 0..k-1; level k is pi_1's
-    level = [slice(edges[j], edges[j + 1]) for j in range(k)]
 
-    def up(j: int) -> np.ndarray:
-        return b00[level[j], level[j + 1]] if j + 1 < k else qbd.b01[level[j]]
+    def level(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(D_j, L_j, U_j)`` of boundary level ``j``, stacked over items."""
+        lo = edges[max(j - 1, 0)]
+        band = np.stack(
+            [q.b00[edges[j] : edges[j + 1], lo : edges[min(j + 2, k)]] for q in qbds]
+        )
+        mid, right = edges[j] - lo, edges[j + 1] - lo
+        if j + 1 < k:
+            up = band[..., right:]
+        else:
+            up = np.stack([q.b01[edges[j] :] for q in qbds])
+        return band[..., :mid], band[..., mid:right], up
 
-    s = b00[level[0], level[0]]
-    # h_j: total mass of levels 0..j per unit of pi_j.
-    h = np.ones(edges[1])
+    _, s, up = level(0)
+    # h_j: total mass of levels 0..j per unit of pi_j, as a column.
+    h = np.ones((len(qbds), edges[1], 1))
     ws: list[np.ndarray] = []
     for j in range(1, k + 1):
-        down = b00[level[j], level[j - 1]] if j < k else qbd.b10[:, level[k - 1]]
-        w = np.linalg.solve(s.T, down.T).T
-        local = b00[level[j], level[j]] if j < k else top
-        s = local - w @ up(j - 1)
         if j < k:
-            np.fill_diagonal(s, 0.0)
-            np.fill_diagonal(s, -(s.sum(axis=1) + up(j).sum(axis=1)))
-            h = 1.0 - w @ h
+            down, local, next_up = level(j)
         else:
-            h = tail_weights - w @ h
+            down = np.stack([q.b10[:, edges[k - 1] :] for q in qbds])
+            local = top
+        w = np.linalg.solve(
+            s.transpose(0, 2, 1), down.transpose(0, 2, 1)
+        ).transpose(0, 2, 1)
+        s = local - w @ up
+        if j < k:
+            diag = np.arange(s.shape[1])
+            s[:, diag, diag] = 0.0
+            s[:, diag, diag] = -(s.sum(axis=2) + next_up.sum(axis=2))
+            h = 1.0 - w @ h
+            up = next_up
+        else:
+            h = tail_weights[..., None] - w @ h
         ws.append(w)
 
     top_pi = _gth_stationary(s)
-    pis = [top_pi / (top_pi @ h)]
+    pis = [top_pi / (top_pi[:, None, :] @ h)[:, 0]]
     for w in reversed(ws):
-        pis.append(-pis[-1] @ w)
-    return np.concatenate(pis[::-1])
+        pis.append(-(pis[-1][:, None, :] @ w)[:, 0])
+    return np.concatenate(pis[::-1], axis=1)
 
 
 def _gth_stationary(generator: np.ndarray) -> np.ndarray:
-    """``pi`` with ``pi G = 0`` and ``pi[0] = 1`` by GTH state reduction.
+    """Per item, ``pi`` with ``pi G = 0`` and ``pi[0] = 1``, by GTH state reduction.
 
-    Only the off-diagonal rates of ``G`` enter, and only through sums and
-    products of non-negative numbers, so small probabilities keep their
-    relative accuracy (an LU solve loses them to cancellation in its
-    pivots).  A state that cannot reach the lower-numbered ones makes the
-    chain reducible and raises ``LinAlgError``.
+    ``generator`` stacks the items' generators, ``(N, n, n)``.  Only their
+    off-diagonal rates enter, and only through sums and products of
+    non-negative numbers, so small probabilities keep their relative
+    accuracy (an LU solve loses them to cancellation in its pivots).  A
+    state that cannot reach the lower-numbered ones makes the chain
+    reducible and raises ``LinAlgError``.
     """
     a = np.array(generator, dtype=float)
-    n = len(a)
-    outflow = np.empty(n)
+    n = a.shape[1]
+    outflow = np.empty(a.shape[:2])
     for k in range(n - 1, 0, -1):
-        row = a[k, :k]
-        outflow[k] = total = row.sum()
-        if not total > 0.0:
+        row = a[:, k, :k]
+        outflow[:, k] = total = row.sum(axis=1)
+        if not (total > 0.0).all():
             raise np.linalg.LinAlgError(
                 f"top level is reducible: state {k} has no path to states 0..{k - 1}"
             )
-        a[:k, :k] += np.multiply.outer(a[:k, k], row / total)
+        a[:, :k, :k] += a[:, :k, k, None] * (row / total[:, None])[:, None, :]
     # pi_k outflow_k = sum_{i<k} pi_i a_ik: forward substitution from
     # pi_0 = 1, again over non-negative products only.
-    pi = np.empty(n)
-    pi[0] = 1.0
+    pi = np.empty(a.shape[:2])
+    pi[:, 0] = 1.0
     for k in range(1, n):
-        pi[k] = (pi[:k] @ a[:k, k]) / outflow[k]
+        pi[:, k] = (pi[:, None, :k] @ a[:, :k, k, None])[:, 0, 0] / outflow[:, k]
     return pi
 
 

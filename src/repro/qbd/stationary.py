@@ -152,7 +152,6 @@ class QBDStationaryDistribution:
 def solve_qbd(
     qbd: QBDProcess,
     algorithm: str = "logarithmic-reduction",
-    tol: float = 1e-12,
     escalate: bool = False,
     time_budget_ms: float | None = None,
 ) -> QBDStationaryDistribution:
@@ -177,7 +176,7 @@ def solve_qbd(
     # stale -- certify it instead of re-validating on every solve.
     try:
         r, stats = r_matrix(
-            qbd.a0, qbd.a1, qbd.a2, algorithm=algorithm, tol=tol,
+            qbd.a0, qbd.a1, qbd.a2, algorithm=algorithm,
             return_stats=True, blocks_validated=True,
             time_budget_ms=time_budget_ms,
         )

@@ -1,4 +1,4 @@
-"""Tests for SweepEngine's batched solve path."""
+"""Tests for SweepEngine's stacked solve path, against ``model.solve()``."""
 
 import numpy as np
 import pytest
@@ -68,7 +68,7 @@ class TestSolveModelsBatched:
 class TestBatchedEngine:
     def test_run_chain_matches_sequential_engine(self):
         models = sweep_models()
-        sequential = SweepEngine().run_chain(models)
+        sequential = [model.solve() for model in models]
         batched = SweepEngine(BATCHED).run_chain(models)
         for s, b in zip(sequential, batched):
             assert b.fg_response_time == pytest.approx(
@@ -124,7 +124,7 @@ class TestBatchedEngine:
         # One shape, one pooled kernel call for all six points.
         assert len(engine.stats.batch_groups) == 1
         assert engine.stats.batch_groups[0].report.batch_size == 6
-        sequential = SweepEngine().run_chains(chains)
+        sequential = [[model.solve() for model in chain] for chain in chains]
         for seq_chain, bat_chain in zip(sequential, results):
             for s, b in zip(seq_chain, bat_chain):
                 assert b.fg_queue_length == pytest.approx(

@@ -19,9 +19,11 @@ def models(n=3, p=0.3):
 
 
 def summary_without_timings(stats) -> dict:
-    """EngineStats.summary() minus the wall-clock field (never equal)."""
+    """EngineStats.summary() minus the wall-clock fields (never equal)."""
     payload = stats.summary()
     payload.pop("total_wall_time_ms")
+    for group in payload.get("batch_groups", ()):
+        group.pop("wall_time_ms")
     return payload
 
 
@@ -141,14 +143,18 @@ class TestHooks:
         assert engine.stats.solves == 0
 
     def test_cancel_mid_chain_stops_promptly(self):
+        # The cancel hook is polled before each stacked solve: a cancel
+        # that lands after the first chain's progress stops the second.
         done = []
 
         def cancel_after_one():
             return len(done) >= 1
 
         engine = SweepEngine(progress=done.append, cancel=cancel_after_one)
+        chain = models(4)
         with pytest.raises(SweepCancelled):
-            engine.run_chain(models(4))
+            engine.run_chain(chain[:2])
+            engine.run_chain(chain[2:])
         assert sum(done) < 4
 
     def test_cancel_never_becomes_a_nan_point(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.model import FgBgModel
+import repro.engine.engine as engine_module
 from repro.engine import EngineConfig
 from repro.experiments.runner import build_config, execute_figure, main
 
@@ -44,13 +44,13 @@ class TestRunner:
         # Figures 5 and 6 sweep the same points for different metrics;
         # one run shares one engine, so the second figure is all hits.
         solved = []
-        fresh_solve = FgBgModel.solve
+        fresh_solve = engine_module.solve_models_batched
 
-        def counting_solve(model, *args, **kwargs):
-            solved.append(model.fingerprint())
-            return fresh_solve(model, *args, **kwargs)
+        def counting_solve(models, *args, **kwargs):
+            solved.extend(model.fingerprint() for model in models)
+            return fresh_solve(models, *args, **kwargs)
 
-        monkeypatch.setattr(FgBgModel, "solve", counting_solve)
+        monkeypatch.setattr(engine_module, "solve_models_batched", counting_solve)
         assert main(["fig5", "fig6"]) == 0
         assert "fig6" in capsys.readouterr().out
         assert solved
@@ -58,11 +58,13 @@ class TestRunner:
 
 
 class TestEngineFlags:
-    def test_batched_output_identical_to_serial(self, capsys):
-        assert main(["fig9"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["fig9", "--batched"]) == 0
-        assert capsys.readouterr().out == serial
+    def test_removed_batched_flag_errors(self, capsys):
+        # Every run solves through the stacked kernel; argparse rejects
+        # the option that used to select it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig9", "--batched"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --batched" in capsys.readouterr().err
 
     def test_cache_flag_requires_a_directory(self):
         # Solves are always shared in memory; --cache only names the
@@ -95,7 +97,7 @@ class TestEngineFlags:
 
     def test_engine_flags_ignored_for_table_figures(self, tmp_path, capsys):
         # fig2 takes no engine; the flags must not break it.
-        assert main(["fig2", "--batched", "--cache", str(tmp_path)]) == 0
+        assert main(["fig2", "--escalate", "--cache", str(tmp_path)]) == 0
         assert "fig2" in capsys.readouterr().out
 
 
@@ -103,7 +105,6 @@ def parsed(*flags) -> argparse.Namespace:
     """A parsed namespace with the runner's engine-flag defaults."""
     defaults = dict(
         cache=None,
-        batched=False,
         on_error="raise",
         escalate=False,
     )
@@ -118,8 +119,8 @@ class TestBuildConfig:
         assert build_config(parsed()) == EngineConfig()
 
     def test_any_flag_builds_a_config(self):
-        config = build_config(parsed(("batched", True)))
-        assert config == EngineConfig(batched=True)
+        config = build_config(parsed(("escalate", True)))
+        assert config == EngineConfig(escalate=True)
 
     def test_disk_cache_spelling(self, tmp_path):
         config = build_config(parsed(("cache", str(tmp_path))))

@@ -125,15 +125,18 @@ class TestSweepMany:
         assert all(s.x.shape == (2,) for s in series)
 
     def test_batched_engine_matches_serial(self):
-        args = (poisson_base(), utilization_axis([0.2, 0.4, 0.6]), "qlen_fg")
-        serial = sweep_many(*args, bg_probabilities=[0.1, 0.6, 0.9])
+        axis = utilization_axis([0.2, 0.4, 0.6])
         batched = sweep_many(
-            *args,
+            poisson_base(),
+            axis,
+            "qlen_fg",
             bg_probabilities=[0.1, 0.6, 0.9],
             engine=SweepEngine(EngineConfig(batched=True)),
         )
-        for s, b in zip(serial, batched):
-            np.testing.assert_allclose(b.y, s.y, rtol=1e-9)
+        for p, b in zip([0.1, 0.6, 0.9], batched):
+            models = axis.models(poisson_base().with_bg_probability(p))
+            serial = [model.solve().fg_queue_length for model in models]
+            np.testing.assert_allclose(b.y, serial, rtol=1e-9)
 
 
 class TestLoadSweep:

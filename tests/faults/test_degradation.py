@@ -143,7 +143,7 @@ class TestEngineIsolation:
         assert solutions[1] is None
         assert all(s is not None for i, s in enumerate(solutions) if i != 1)
         (failure,) = engine.stats.failures
-        assert failure.stage == "solve"
+        assert failure.stage == "batched"
         assert failure.error_type == "LinAlgError"
         assert failure.fingerprint == model_chain[1].fingerprint()
         assert engine.stats.failed == 1

@@ -30,13 +30,19 @@ def _figtiny(engine=None):
         service_rate=SERVICE_RATE_PER_MS,
         bg_probability=0.3,
     )
-    series = sweep(base, utilization_axis(TINY_POINTS), "qlen_fg", engine=engine)
+    # Two sweeps, so two stacked solves: progress is written once per
+    # stacked solve, and a cancel or requeue that lands after the first
+    # write is seen before the second solve starts.
+    series = tuple(
+        sweep(base, utilization_axis(points), "qlen_fg", engine=engine, label=label)
+        for label, points in (("low", TINY_POINTS[:2]), ("high", TINY_POINTS[2:]))
+    )
     return ExperimentResult(
         experiment_id="figtiny",
         title="Tiny sweep (job-layer tests)",
         x_label="foreground utilization",
         y_label="fg queue length",
-        series=(series,),
+        series=series,
     )
 
 

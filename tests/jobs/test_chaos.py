@@ -89,15 +89,16 @@ class TestMidSweepKill:
     def test_mid_sweep_kill_resumes_through_cache_byte_identical(
         self, queue_dir
     ):
-        """The acceptance scenario: fig9's idle-wait sweep, worker killed
-        after 10 solves have landed in the queue cache, requeued, resumed,
+        """The acceptance scenario: fig9's idle-wait sweeps, worker killed
+        after 40 solves have landed in the queue cache (the first panel's
+        32-point stacked solve and 8 of the second's), requeued, resumed,
         byte-identical to an uninterrupted blocking run."""
         job_id = cli(queue_dir, "submit", "fig9").stdout.strip()
 
         killed = cli(
             queue_dir,
             "worker",
-            faults="kill_run:after=10:limit=1",
+            faults="kill_run:after=40:limit=1",
             check=False,
         )
         assert killed.returncode == -9

@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core import BgServiceMode, FgBgModel
 from repro.processes import MMPP, fit_mmpp2
-from repro.qbd import QBDProcess, solve_boundary
+from repro.qbd import QBDProcess, solve_boundary, solve_qbd_batched
+from repro.qbd.boundary import solve_boundaries
 from repro.qbd.rmatrix import r_matrix
 from repro.workloads.paper import SERVICE_RATE_PER_MS, WORKLOADS
 
@@ -65,6 +67,32 @@ def mmpp_m1_qbd() -> QBDProcess:
     return QBDProcess.homogeneous(mmpp.d1, mmpp.d0 - np.eye(2), np.eye(2))
 
 
+def polished_r(qbd: QBDProcess) -> np.ndarray:
+    """R polished by a few natural-iteration steps, so that R's error (not
+    the boundary solve's) does not set the residual."""
+    r = r_matrix(qbd.a0, qbd.a1, qbd.a2)
+    for _ in range(5):
+        r = -qbd.a0 @ np.linalg.inv(qbd.a1 + r @ qbd.a2)
+    return r
+
+
+def x0_qbd(arrival: MMPP) -> QBDProcess:
+    """X = 0, p = 0 chain around a two-state MMPP at unit service rate."""
+    model = FgBgModel(
+        arrival=arrival,
+        service_rate=1.0,
+        bg_probability=0.0,
+        bg_buffer=0,
+        idle_wait_rate=10.0,
+    )
+    return model.qbd
+
+
+#: Slowly switching MMPP whose busy phase overloads the server: the
+#: largest tail weight is ~1e5.
+SLOW_SWITCHING = MMPP.two_state(v1=6.52852e-05, v2=6.52852e-05, l1=1.82876, l2=0)
+
+
 class TestLevelReduction:
     @pytest.mark.parametrize("x", [0, 1, 5, 12, 25])
     def test_matches_dense_reference(self, x):
@@ -84,11 +112,7 @@ class TestLevelReduction:
                 )
                 qbd = model.qbd
                 assert len(qbd.boundary_levels) == x + 1
-                r = r_matrix(qbd.a0, qbd.a1, qbd.a2)
-                # A few natural-iteration steps polish R, so that R's error
-                # (not the boundary solve's) does not set the residual.
-                for _ in range(5):
-                    r = -qbd.a0 @ np.linalg.inv(qbd.a1 + r @ qbd.a2)
+                r = polished_r(qbd)
                 pi0, pi1 = solve_boundary(qbd, r)
                 ref0, ref1 = dense_solve(qbd, r)
                 np.testing.assert_allclose(pi0, ref0, rtol=0, atol=1e-12)
@@ -105,21 +129,28 @@ class TestLevelReduction:
     def test_small_probabilities_keep_relative_accuracy(self, workload, p):
         # Probabilities down to 1e-78: every one keeps ~1e-15 relative
         # accuracy, which needs the GTH diagonals (without them: ~1e-6).
-        model = FgBgModel(
-            arrival=WORKLOADS[workload].fit().scaled_to_rate(0.1 * MU),
-            service_rate=MU,
-            bg_probability=p,
-            bg_buffer=12,
-            idle_wait_rate=20 * MU,
+        qbd, neighbour = (
+            FgBgModel(
+                arrival=WORKLOADS[workload].fit().scaled_to_rate(load * MU),
+                service_rate=MU,
+                bg_probability=p,
+                bg_buffer=12,
+                idle_wait_rate=20 * MU,
+            ).qbd
+            for load in (0.1, 0.6)
         )
-        qbd = model.qbd
-        r = r_matrix(qbd.a0, qbd.a1, qbd.a2)
-        for _ in range(5):
-            r = -qbd.a0 @ np.linalg.inv(qbd.a1 + r @ qbd.a2)
+        r = polished_r(qbd)
         expected = gth_solve(qbd, r)
         assert expected.min() < 1e-40
         got = np.concatenate(solve_boundary(qbd, r))
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+        # The same item inside a stack keeps that accuracy.
+        pi0, pi1, failures = solve_boundaries(
+            [neighbour, qbd], np.stack([polished_r(neighbour), r])
+        )
+        assert failures == {}
+        stacked = np.concatenate([pi0[1], pi1[1]])
+        np.testing.assert_allclose(stacked, expected, rtol=1e-12, atol=0)
 
     def test_single_level_is_schur_complement(self):
         qbd = mmpp_m1_qbd()
@@ -175,20 +206,76 @@ class TestLevelReduction:
         # equation to round-off.  It must still be accepted and match the
         # dense solve.  (Logarithmic reduction's shifted rerun fits this
         # model's R exactly, so it cannot stand in here.)
-        model = FgBgModel(
-            arrival=MMPP.two_state(v1=6.52852e-05, v2=6.52852e-05, l1=1.82876, l2=0),
-            service_rate=1.0,
-            bg_probability=0.0,
-            bg_buffer=0,
-            idle_wait_rate=10.0,
-        )
-        qbd = model.qbd
+        qbd = x0_qbd(SLOW_SWITCHING)
         r = r_matrix(qbd.a0, qbd.a1, qbd.a2, algorithm="functional")
         assert np.abs(r @ qbd.a2.sum(axis=1) - qbd.a0.sum(axis=1)).max() > 1e-8
         pi0, pi1 = solve_boundary(qbd, r)
         ref0, ref1 = dense_solve(qbd, r)
         np.testing.assert_allclose(pi0, ref0, rtol=1e-9)
         np.testing.assert_allclose(pi1, ref1, rtol=1e-9)
+
+
+class TestStackedBoundary:
+    """``solve_boundaries``: N items at once, each as if solved alone."""
+
+    def test_near_saturated_and_ordinary_items_match_one_item_calls(self):
+        qbds = [
+            x0_qbd(SLOW_SWITCHING),
+            x0_qbd(MMPP.two_state(v1=0.1, v2=0.2, l1=0.9, l2=0.2)),
+        ]
+        rs = [
+            r_matrix(qbds[0].a0, qbds[0].a1, qbds[0].a2, algorithm="functional"),
+            r_matrix(qbds[1].a0, qbds[1].a1, qbds[1].a2),
+        ]
+        pi0, pi1, failures = solve_boundaries(qbds, np.stack(rs))
+        assert failures == {}
+        for i, (qbd, r) in enumerate(zip(qbds, rs)):
+            ref0, ref1 = solve_boundary(qbd, r)
+            np.testing.assert_allclose(pi0[i], ref0, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(pi1[i], ref1, rtol=1e-13, atol=0)
+
+    def test_failed_item_does_not_fail_the_others(self):
+        qbds = [mmpp_m1_qbd()] * 3
+        r = r_matrix(qbds[0].a0, qbds[0].a1, qbds[0].a2)
+        pi0, pi1, failures = solve_boundaries(qbds, np.stack([r, r[::-1, ::-1], r]))
+        assert list(failures) == [1]
+        assert isinstance(failures[1], ValueError)
+        assert np.isnan(pi0[1]).all() and np.isnan(pi1[1]).all()
+        ref0, ref1 = solve_boundary(qbds[0], r)
+        for i in (0, 2):
+            np.testing.assert_allclose(pi0[i], ref0, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(pi1[i], ref1, rtol=1e-13, atol=0)
+
+    def test_rejects_mixed_block_structures(self):
+        small = mmpp_m1_qbd()
+        big = FgBgModel(
+            arrival=WORKLOADS["email"].fit(), service_rate=MU, bg_probability=0.3
+        ).qbd
+        with pytest.raises(ValueError, match="one block structure"):
+            solve_boundaries([small, big], np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_collect_isolates_singular_boundary_fault_to_its_item(self, k):
+        qbds = [
+            FgBgModel(
+                arrival=WORKLOADS["email"].fit().scaled_to_rate(load * MU),
+                service_rate=MU,
+                bg_probability=0.3,
+            ).qbd
+            for load in (0.2, 0.35, 0.5, 0.65, 0.8)
+        ]
+        reference = solve_qbd_batched(qbds)
+        with faults.inject(f"singular_boundary:after={k}:limit=1"):
+            got, report = solve_qbd_batched(
+                qbds, return_report=True, on_error="collect"
+            )
+        assert got[k] is None
+        (failure,) = report.failures
+        assert (failure.index, failure.stage) == (k, "boundary")
+        assert failure.error_type == "LinAlgError"
+        for i in range(len(qbds)):
+            if i != k:
+                np.testing.assert_array_equal(got[i].boundary, reference[i].boundary)
 
 
 class TestOneLevelModels:

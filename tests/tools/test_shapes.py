@@ -346,7 +346,7 @@ def test_injected_standalone_d0_stationary_is_caught_by_rl017():
 
 
 def test_injected_flat_rhs_in_batched_solve_is_caught_by_rl018():
-    source, path = _real_source("src/repro/qbd/batched.py")
+    source, path = _real_source("src/repro/qbd/boundary.py")
     assert [v for v in lint_source(source, path) if v.code == "RL018"] == []
     mutated = source.replace(
         "np.linalg.solve(eye - r, np.ones((n, m, 1)))[..., 0]",

@@ -15,7 +15,8 @@ module interprets each function abstractly over a small lattice of
     ``transposed`` -- an oriented (row-convention) block observed
     through ``.T``;
     ``stacked`` -- a leading-axis batch (``np.stack`` result, or a
-    canonical block name inside ``repro.qbd.batched``).
+    canonical block name inside ``repro.qbd.batched`` or the stacked
+    boundary solve, ``repro.qbd.boundary``).
 
 Stochastic kinds: ``GENERATOR`` (zero row sums), ``SUBGENERATOR``
 (``D0``/``A1``/``B00``-style diagonal blocks), ``STOCHASTIC``,
@@ -269,7 +270,8 @@ def _seed_for(name: str, *, batched: bool) -> ArrayFact | None:
 
 
 def _is_batched_path(path: str) -> bool:
-    return "batched" in PurePath(path).name
+    name = PurePath(path).name
+    return "batched" in name or name == "boundary.py"
 
 
 def _path_parts(path: str) -> tuple[str, ...]:
