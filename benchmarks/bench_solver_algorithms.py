@@ -1,14 +1,27 @@
-"""Performance of the three R-matrix algorithms on the paper's model.
+"""Performance of the R-matrix solvers on the paper's model.
 
-Times each algorithm end-to-end (R + boundary + metrics) at a demanding
+Times logarithmic reduction (``r_matrix``) against the two linear rungs of
+its escalation ladder on the model's repeating blocks, at a demanding
 operating point (high load, strongly correlated arrivals -- sp(R) close
 to 1, where linear iterations slow down and logarithmic reduction shines).
 """
 
+import numpy as np
 import pytest
 
 from repro.core.model import FgBgModel
+from repro.qbd import (
+    r_matrix,
+    r_matrix_functional_iteration,
+    r_matrix_natural_iteration,
+)
 from repro.workloads.paper import SERVICE_RATE_PER_MS, WORKLOADS
+
+SOLVERS = {
+    "logarithmic-reduction": r_matrix,
+    "functional": r_matrix_functional_iteration,
+    "natural": r_matrix_natural_iteration,
+}
 
 
 def make_model() -> FgBgModel:
@@ -20,14 +33,10 @@ def make_model() -> FgBgModel:
     )
 
 
-@pytest.mark.parametrize(
-    "algorithm", ["logarithmic-reduction", "natural", "functional"]
-)
-def bench_solver_algorithm(benchmark, algorithm):
-    model = make_model()
-    solution = benchmark(model.solve, algorithm=algorithm)
-    # All algorithms must land on the same answer.
-    reference = model.solve(algorithm="logarithmic-reduction")
-    assert solution.fg_queue_length == pytest.approx(
-        reference.fg_queue_length, rel=1e-6
-    )
+@pytest.mark.parametrize("name", list(SOLVERS))
+def bench_solver_algorithm(benchmark, name):
+    qbd = make_model().qbd
+    blocks = (qbd.a0, qbd.a1, qbd.a2)
+    r = benchmark(SOLVERS[name], *blocks)
+    # All solvers must land on the same minimal R.
+    np.testing.assert_allclose(r, r_matrix(*blocks), rtol=0, atol=1e-8)

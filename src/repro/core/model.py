@@ -167,19 +167,11 @@ class FgBgModel:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        algorithm: str = "logarithmic-reduction",
-        escalate: bool = False,
-    ) -> FgBgSolution:
+    def solve(self, escalate: bool = False) -> FgBgSolution:
         """Solve the model and return all stationary metrics.
 
         Parameters
         ----------
-        algorithm:
-            R-matrix algorithm: ``"logarithmic-reduction"`` (default),
-            ``"natural"`` or ``"functional"``; each converges to
-            :data:`~repro.qbd.rmatrix.DEFAULT_TOL`.
         escalate:
             Enable the truncated dense-chain rung of the escalation
             ladder (see :func:`repro.qbd.stationary.solve_qbd`): when
@@ -200,7 +192,7 @@ class FgBgModel:
                 f"{self.fg_utilization:.4g} >= 1; no stationary regime exists"
             )
         qbd, space = self._qbd_and_space
-        qbd_solution = solve_qbd(qbd, algorithm=algorithm, escalate=escalate)
+        qbd_solution = solve_qbd(qbd, escalate=escalate)
         return compute_metrics(
             space=space,
             qbd_solution=qbd_solution,

@@ -333,14 +333,14 @@ class MulticlassFgBgModel:
     # ------------------------------------------------------------------
     # Solving and metrics
     # ------------------------------------------------------------------
-    def solve(self, algorithm: str = "logarithmic-reduction") -> MulticlassSolution:
+    def solve(self) -> MulticlassSolution:
         """Solve the multiclass model and return its stationary metrics."""
         if self.fg_utilization >= 1.0:
             raise ValueError(
                 f"model is unstable: foreground utilization "
                 f"{self.fg_utilization:.4g} >= 1"
             )
-        sol = solve_qbd(self._qbd, algorithm=algorithm)
+        sol = solve_qbd(self._qbd)
         return self._metrics(sol)
 
     def _metrics(self, sol: QBDStationaryDistribution) -> MulticlassSolution:

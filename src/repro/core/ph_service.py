@@ -288,14 +288,14 @@ class PhServiceFgBgModel:
         return QBDProcess(b00=b00, b01=b01, b10=b10, a0=a0, a1=a1, a2=a2)
 
     # ------------------------------------------------------------------
-    def solve(self, algorithm: str = "logarithmic-reduction") -> PhServiceSolution:
+    def solve(self) -> PhServiceSolution:
         """Solve the PH-service model and return its stationary metrics."""
         if self.fg_utilization >= 1.0:
             raise ValueError(
                 f"model is unstable: foreground utilization "
                 f"{self.fg_utilization:.4g} >= 1"
             )
-        sol = solve_qbd(self._qbd, algorithm=algorithm)
+        sol = solve_qbd(self._qbd)
         return self._metrics(sol)
 
     def _metrics(self, sol: QBDStationaryDistribution) -> PhServiceSolution:

@@ -56,25 +56,20 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def solve_key(
-    fingerprint: str,
-    algorithm: str = "logarithmic-reduction",
-    tol: float = 1e-12,
-) -> str:
-    """Cache key of one solve: format, model fingerprint, solver parameters.
+#: Solver name and tolerance, hashed into every key as constant bytes so
+#: that keys still match on-disk caches written while solves took them as
+#: parameters.
+_SOLVER_KEY_BYTES = b"logarithmic-reduction" + float(1e-12).hex().encode()
 
-    The engine always solves with the defaults; they stay in the hash so
-    the keys of existing on-disk caches still match.
-    """
+
+def solve_key(fingerprint: str) -> str:
+    """Cache key of one solve: format and model fingerprint."""
     if not fingerprint:
         raise ValueError("solve_key needs a non-empty model fingerprint")
-    if not tol > 0.0:
-        raise ValueError(f"solver tolerance must be positive, got {tol!r}")
     h = hashlib.sha256()
     h.update(f"format-{CACHE_FORMAT}:".encode())
     h.update(fingerprint.encode())
-    h.update(algorithm.encode())
-    h.update(float(tol).hex().encode())
+    h.update(_SOLVER_KEY_BYTES)
     return h.hexdigest()
 
 

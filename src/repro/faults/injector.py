@@ -70,8 +70,9 @@ ENV_FAULTS = "REPRO_FAULTS"
 #: else are rejected -- a typo must not silently disable a chaos test.
 KNOWN_FAULT_POINTS = frozenset(
     {
-        # repro.qbd.rmatrix._logred_impl: raise the overflow
-        # QBDConvergenceError nearly decomposable chains hit for real.
+        # repro.qbd.rmatrix._logarithmic_reduction: fail the item like
+        # the overflow nearly decomposable chains hit for real, sending
+        # it to the escalation ladder.
         "logred_overflow",
         # repro.qbd.boundary.solve_boundary: raise a singular-system
         # LinAlgError before the solve.

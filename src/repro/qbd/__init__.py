@@ -13,29 +13,28 @@ boundary::
 The stationary vector satisfies ``pi_k = pi_1 R^{k-1}`` for ``k >= 1`` where
 ``R`` is the minimal non-negative solution of
 ``A0 + R A1 + R^2 A2 = 0`` (Neuts; Latouche & Ramaswami).  This package
-implements the structure (:mod:`~repro.qbd.structure`), three R/G-matrix
-algorithms (:mod:`~repro.qbd.rmatrix`), the boundary solve
-(:mod:`~repro.qbd.boundary`) and a stationary-distribution object with
+implements the structure (:mod:`~repro.qbd.structure`), the R matrix by
+logarithmic reduction over a stack of QBDs with a per-item ladder of
+linear iterations (:mod:`~repro.qbd.rmatrix`), the boundary solve
+(:mod:`~repro.qbd.boundary`), the stacked end-to-end pipeline
+(:mod:`~repro.qbd.batched`) and a stationary-distribution object with
 closed-form level sums (:mod:`~repro.qbd.stationary`).
 """
 
 from repro.qbd.structure import QBDProcess
 from repro.qbd.rmatrix import (
+    BatchedSolveReport,
     SolveStats,
+    batched_r_matrix,
     drift,
     g_matrix_logarithmic_reduction,
     is_stable,
     r_matrix,
     r_matrix_functional_iteration,
     r_matrix_from_g,
-    r_matrix_logarithmic_reduction,
     r_matrix_natural_iteration,
 )
-from repro.qbd.batched import (
-    BatchedSolveReport,
-    batched_r_matrix,
-    solve_qbd_batched,
-)
+from repro.qbd.batched import solve_qbd_batched
 from repro.qbd.boundary import solve_boundary
 from repro.qbd.mg1 import MG1Process, MG1StationaryDistribution, g_matrix_mg1, solve_mg1
 from repro.qbd.stationary import QBDStationaryDistribution, solve_qbd
@@ -48,7 +47,6 @@ __all__ = [
     "is_stable",
     "r_matrix",
     "r_matrix_functional_iteration",
-    "r_matrix_logarithmic_reduction",
     "r_matrix_natural_iteration",
     "r_matrix_from_g",
     "g_matrix_logarithmic_reduction",

@@ -6,13 +6,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.contracts.checks import (
-    check_probability_vector,
-    contracts_enabled,
-)
-from repro.contracts.errors import ContractViolation
-from repro.qbd.boundary import solve_boundary
-from repro.qbd.rmatrix import QBDConvergenceError, SolveStats, r_matrix
+from repro.qbd.rmatrix import SolveStats, validate_positive_recurrent
 from repro.qbd.structure import QBDProcess
 
 __all__ = ["QBDStationaryDistribution", "solve_qbd"]
@@ -150,16 +144,14 @@ class QBDStationaryDistribution:
 
 
 def solve_qbd(
-    qbd: QBDProcess,
-    algorithm: str = "logarithmic-reduction",
-    escalate: bool = False,
-    time_budget_ms: float | None = None,
+    qbd: QBDProcess, escalate: bool = False
 ) -> QBDStationaryDistribution:
     """Solve a QBD end to end: R matrix, boundary system, stationary object.
 
-    The returned distribution carries the per-solve
-    :class:`~repro.qbd.rmatrix.SolveStats` of
-    :func:`repro.qbd.rmatrix.r_matrix`.
+    The one-item call of :func:`repro.qbd.batched.solve_qbd_batched`,
+    after the drift test a single QBD gets first.  The returned
+    distribution carries the :class:`~repro.qbd.rmatrix.SolveStats` of
+    its R solve.
 
     With ``escalate=True`` the solve gains a last rung: when every
     matrix-geometric iteration fails (``QBDConvergenceError``) or the
@@ -168,49 +160,12 @@ def solve_qbd(
     and the returned ``solve_stats`` is flagged ``degraded=True``.  The
     unstable-QBD ``ValueError`` always propagates -- truncating an
     unstable chain would fabricate a number where no stationary regime
-    exists.  ``time_budget_ms`` bounds the linearly convergent rungs
-    inside :func:`~repro.qbd.rmatrix.r_matrix`.
+    exists.
     """
-    # QBDProcess.__post_init__ already validated the generator row-split
-    # and froze the blocks read-only, so that precondition cannot go
-    # stale -- certify it instead of re-validating on every solve.
-    try:
-        r, stats = r_matrix(
-            qbd.a0, qbd.a1, qbd.a2, algorithm=algorithm,
-            return_stats=True, blocks_validated=True,
-            time_budget_ms=time_budget_ms,
-        )
-        pi_boundary, pi_first = solve_boundary(qbd, r)
-    except (QBDConvergenceError, np.linalg.LinAlgError) as exc:
-        if not escalate:
-            raise
-        # Imported lazily: truncated.py builds QBDStationaryDistribution
-        # instances, so a module-level import would be circular.
-        from repro.qbd.truncated import solve_qbd_truncated
+    # Imported lazily: batched.py builds QBDStationaryDistribution
+    # instances, so a module-level import would be circular.
+    from repro.qbd.batched import solve_qbd_batched
 
-        if isinstance(exc, QBDConvergenceError):
-            failed_rungs = exc.attempts or (algorithm,)
-        else:
-            failed_rungs = (algorithm, "boundary")
-        return solve_qbd_truncated(qbd, fallbacks=tuple(failed_rungs))
-    distribution = QBDStationaryDistribution(
-        qbd, r, pi_boundary, pi_first, solve_stats=stats
-    )
-    if contracts_enabled():
-        # The R preconditions/postconditions ran inside r_matrix; here the
-        # end-to-end invariant is that the assembled distribution is one:
-        # non-negative boundary mass and total mass 1 (the level sums are
-        # closed forms in R, so a bad boundary solve shows up here).
-        # Fast path: two vector mins and the (cached) total mass; NaNs
-        # fail the comparisons and land in the diagnostic branch.
-        least = min(float(pi_boundary.min()), float(pi_first.min()))
-        total = distribution.total_mass
-        if not (least > -1e-6) or not (abs(total - 1.0) <= 1e-8):
-            check_probability_vector(pi_boundary, "pi_boundary", total=None)
-            check_probability_vector(pi_first, "pi_1", total=None)
-            raise ContractViolation(
-                "check_solution",
-                "QBD stationary distribution",
-                f"total mass {total:.10g}, expected 1",
-            )
+    validate_positive_recurrent(qbd.a0, qbd.a1, qbd.a2)
+    (distribution,) = solve_qbd_batched([qbd], escalate=escalate)
     return distribution

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core import BgServiceMode, FgBgModel
+from repro.core.metrics import compute_metrics
 from repro.markov import stationary_distribution
 from repro.processes import PoissonProcess, fit_mmpp2
+from repro.qbd import (
+    QBDStationaryDistribution,
+    r_matrix_functional_iteration,
+    r_matrix_natural_iteration,
+    solve_boundary,
+)
+from repro.qbd.truncated import solve_qbd_truncated
 
 MU = 1 / 6.0
 
@@ -209,10 +217,27 @@ class TestConservationLaws:
             service_rate=MU,
             bg_probability=0.5,
         )
-        results = [m.solve(algorithm=a) for a in ("logarithmic-reduction", "natural", "functional")]
-        for other in results[1:]:
+        # Logarithmic reduction (model.solve) against the two linear
+        # rungs' R and the truncated dense chain, which needs no R at all.
+        qbd = m.qbd
+        distributions = [
+            QBDStationaryDistribution(qbd, r, *solve_boundary(qbd, r))
+            for r in (
+                r_matrix_functional_iteration(qbd.a0, qbd.a1, qbd.a2),
+                r_matrix_natural_iteration(qbd.a0, qbd.a1, qbd.a2),
+            )
+        ] + [solve_qbd_truncated(qbd)]
+        reference = m.solve()
+        for distribution in distributions:
+            other = compute_metrics(
+                space=m.state_space,
+                qbd_solution=distribution,
+                arrival=m.arrival,
+                service_rate=m.service_rate,
+                bg_probability=m.bg_probability,
+            )
             assert other.fg_queue_length == pytest.approx(
-                results[0].fg_queue_length, rel=1e-8
+                reference.fg_queue_length, rel=1e-8
             )
 
     def test_repr_mentions_parameters(self):

@@ -1,4 +1,4 @@
-"""Tests for SweepEngine's stacked solve path, against ``model.solve()``."""
+"""Tests for SweepEngine's stacked solve path, against an independent R."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from repro.engine import BatchGroupRecord, EngineConfig, SweepEngine
 from repro.processes import fit_mmpp2
 from repro.qbd.batched import BatchedSolveReport
 from repro.workloads.paper import SERVICE_RATE_PER_MS
+
+from ..conftest import functional_iteration_solution
 
 MU = SERVICE_RATE_PER_MS
 BATCHED = EngineConfig(batched=True)
@@ -33,14 +35,15 @@ class TestSolveModelsBatched:
         models = sweep_models()
         batched = solve_models_batched(models)
         for model, solution in zip(models, batched):
-            sequential = model.solve()
+            assert solution.as_dict() == model.solve().as_dict()
+            reference = functional_iteration_solution(model)
             for name in (
                 "fg_response_time",
                 "fg_queue_length",
                 "idle_probability",
             ):
                 assert getattr(solution, name) == pytest.approx(
-                    getattr(sequential, name), abs=1e-10
+                    getattr(reference, name), rel=1e-8
                 )
 
     def test_groups_mixed_shapes(self):
@@ -68,11 +71,11 @@ class TestSolveModelsBatched:
 class TestBatchedEngine:
     def test_run_chain_matches_sequential_engine(self):
         models = sweep_models()
-        sequential = [model.solve() for model in models]
         batched = SweepEngine(BATCHED).run_chain(models)
-        for s, b in zip(sequential, batched):
+        for model, b in zip(models, batched):
+            reference = functional_iteration_solution(model)
             assert b.fg_response_time == pytest.approx(
-                s.fg_response_time, abs=1e-10
+                reference.fg_response_time, rel=1e-8
             )
 
     def test_records_batch_groups(self):

@@ -29,14 +29,16 @@ class TestSolveKey:
     def test_depends_on_model_content(self):
         assert SolveCache.key(model(p=0.3)) != SolveCache.key(model(p=0.6))
 
-    def test_depends_on_solver_parameters(self):
+    def test_key_recipe_matches_existing_disk_caches(self):
+        # The solver name and tolerance stay hashed in as constant bytes,
+        # so caches written while solves took those parameters still hit.
         fp = model().fingerprint()
-        assert solve_key(fp, "logarithmic-reduction", 1e-12) != solve_key(
-            fp, "functional", 1e-12
-        )
-        assert solve_key(fp, "functional", 1e-12) != solve_key(
-            fp, "functional", 1e-10
-        )
+        h = hashlib.sha256()
+        h.update(b"format-3:")
+        h.update(fp.encode())
+        h.update(b"logarithmic-reduction")
+        h.update((1e-12).hex().encode())
+        assert solve_key(fp) == h.hexdigest()
 
     def test_construction_path_irrelevant(self):
         # None (defaulting to service_rate) and an explicit equal rate

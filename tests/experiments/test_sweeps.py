@@ -17,6 +17,8 @@ from repro.experiments.sweeps import (
 from repro.processes import PoissonProcess
 from repro.workloads import SERVICE_RATE_PER_MS
 
+from ..conftest import functional_iteration_solution
+
 MU = SERVICE_RATE_PER_MS
 
 
@@ -135,7 +137,10 @@ class TestSweepMany:
         )
         for p, b in zip([0.1, 0.6, 0.9], batched):
             models = axis.models(poisson_base().with_bg_probability(p))
-            serial = [model.solve().fg_queue_length for model in models]
+            serial = [
+                functional_iteration_solution(model).fg_queue_length
+                for model in models
+            ]
             np.testing.assert_allclose(b.y, serial, rtol=1e-9)
 
 

@@ -11,9 +11,12 @@ from repro.qbd import (
     QBDProcess,
     batched_r_matrix,
     r_matrix,
+    r_matrix_functional_iteration,
     solve_qbd,
     solve_qbd_batched,
 )
+from repro.qbd.rmatrix import QBDConvergenceError, _logarithmic_reduction
+from repro.qbd.truncated import solve_qbd_truncated
 from repro.workloads.paper import SERVICE_RATE_PER_MS
 
 MU = SERVICE_RATE_PER_MS
@@ -35,10 +38,33 @@ def mm1_triple(lam=1.0, mu=2.0):
     )
 
 
+def mmpp_m1_triple(util, mu=1.0):
+    """Repeating blocks of an MMPP(2)/M/1 queue at the given utilization."""
+    mmpp = fit_mmpp2(rate=util * mu, scv=2.4, decay=0.98)
+    return mmpp.d1, mmpp.d0 - mu * np.eye(2), mu * np.eye(2)
+
+
+#: Slowly switching MMPP whose busy phase overloads the server: sp(R) is
+#: within ~5e-6 of 1, and the plain reduction's row sums of G stall ~1e-11
+#: away from 1, so only the rerun on shifted blocks reaches tolerance.
+NEARLY_CRITICAL = (
+    np.array([[1.9, 0.0], [0.0, 0.0]]),
+    np.array([[-2.9 - 4.8765e-5, 4.8765e-5], [4.8765e-5, -1.0 - 4.8765e-5]]),
+    np.eye(2),
+)
+
+
+def stack(*triples):
+    return tuple(np.stack(blocks) for blocks in zip(*triples))
+
+
 class TestBatchedRMatrix:
     def test_matches_scalar_solver_bitwise(self):
+        # An item's R does not depend on its neighbours in the stack (the
+        # one-item call is bit-identical), and it is the minimal solution
+        # Neuts' functional iteration converges to independently.
         qbds = [m.qbd for m in email_models()]
-        stack = batched_r_matrix(
+        stacked = batched_r_matrix(
             np.stack([q.a0 for q in qbds]),
             np.stack([q.a1 for q in qbds]),
             np.stack([q.a2 for q in qbds]),
@@ -46,7 +72,23 @@ class TestBatchedRMatrix:
         )
         for i, qbd in enumerate(qbds):
             scalar = r_matrix(qbd.a0, qbd.a1, qbd.a2, blocks_validated=True)
-            np.testing.assert_array_equal(stack[i], scalar)
+            np.testing.assert_array_equal(stacked[i], scalar)
+            reference = r_matrix_functional_iteration(qbd.a0, qbd.a1, qbd.a2)
+            np.testing.assert_allclose(stacked[i], reference, rtol=0, atol=1e-10)
+
+    def test_nearly_critical_item_solved_inside_the_stack(self):
+        triples = [mmpp_m1_triple(0.5), NEARLY_CRITICAL, mmpp_m1_triple(0.8)]
+        r, stats, report = batched_r_matrix(*stack(*triples), return_stats=True)
+        assert report.fallbacks == ()
+        assert stats[1].algorithm == "logarithmic-reduction"
+        assert stats[1].fallbacks == ()
+        g, _, failed = _logarithmic_reduction(*stack(*triples))
+        assert not failed.any()
+        assert np.abs(1.0 - g[1].sum(axis=1)).max() < 1e-12
+        a0, _, a2 = NEARLY_CRITICAL
+        np.testing.assert_allclose(r[1] @ a2.sum(axis=1), a0.sum(axis=1), atol=1e-12)
+        for i in (0, 2):
+            np.testing.assert_array_equal(r[i], r_matrix(*triples[i]))
 
     def test_mm1_closed_form(self):
         lam, mu = 1.0, 2.0
@@ -77,7 +119,7 @@ class TestBatchedRMatrix:
         assert report.iterations == sum(s.iterations for s in stats)
         assert report.max_iterations == max(s.iterations for s in stats)
         for s in stats:
-            assert s.algorithm == "batched-logarithmic-reduction"
+            assert s.algorithm == "logarithmic-reduction"
             assert 0 < s.spectral_radius < 1
 
     def test_report_round_trips_to_dict(self):
@@ -122,8 +164,8 @@ class TestBatchedRMatrix:
             batched_r_matrix(bad_a0, np.stack([a1, a1]), np.stack([a2, a2]))
 
     def test_unstable_item_raises_like_scalar(self):
-        # lam > mu: the batched iteration cannot converge and the scalar
-        # fallback performs the drift diagnosis.
+        # lam > mu: the reduction cannot produce a stochastic G, and the
+        # ladder's drift diagnosis raises.
         a0, a1, a2 = mm1_triple(lam=3.0, mu=2.0)
         g0, g1, g2 = mm1_triple()
         with pytest.raises(ValueError, match="not positive recurrent"):
@@ -131,22 +173,57 @@ class TestBatchedRMatrix:
                 np.stack([g0, a0]), np.stack([g1, a1]), np.stack([g2, a2])
             )
 
+    def test_negative_r_fails_instead_of_escalating(self, monkeypatch):
+        # Blocks that are no QBD's (A0 < 0) pass when contracts are off.
+        # The reduction's R then has a negative entry, and the item fails:
+        # functional iteration would converge to another root, R = 1.
+        monkeypatch.setenv("REPRO_CONTRACTS", "off")
+        triple = (np.array([[-1.0]]), np.array([[-1.0]]), np.array([[2.0]]))
+        with pytest.raises(QBDConvergenceError, match="significantly negative"):
+            r_matrix(*triple)
+
+    @pytest.mark.parametrize("contracts", ["on", "off"])
+    def test_unstable_qbd_raises_one_message_everywhere(
+        self, contracts, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CONTRACTS", contracts)
+        # Overloaded M/M/1 overflows the reduction; the barely overloaded
+        # MMPP stops on the truncation bound with G's row sums short of 1,
+        # where the shifted rerun (which presumes a stable QBD) must not
+        # take over.
+        triples = [mm1_triple(lam=3.0, mu=2.0), mmpp_m1_triple(1.0001)]
+        for triple in triples:
+            qbd = QBDProcess.homogeneous(*triple)
+            messages = []
+            for solve in (
+                lambda: r_matrix(*triple),
+                lambda: solve_qbd(qbd),
+                lambda: solve_qbd_batched([qbd]),
+            ):
+                with pytest.raises(ValueError) as excinfo:
+                    solve()
+                messages.append(str(excinfo.value))
+            assert messages[0].startswith("QBD is not positive recurrent")
+            assert messages == [messages[0]] * 3
+
 
 class TestSolveQbdBatched:
     def test_matches_sequential_end_to_end(self):
+        # Stacked items equal their one-item solves, and the distributions
+        # match the truncated dense chain (an independent solve).
         qbds = [m.qbd for m in email_models()]
-        sequential = [solve_qbd(q) for q in qbds]
         batched = solve_qbd_batched(qbds)
-        for s, b in zip(sequential, batched):
-            np.testing.assert_array_equal(b.r, s.r)
-            np.testing.assert_allclose(b.boundary, s.boundary, atol=1e-10)
+        for q, b in zip(qbds, batched):
+            np.testing.assert_array_equal(b.r, solve_qbd(q).r)
+            dense = solve_qbd_truncated(q)
+            np.testing.assert_allclose(b.boundary, dense.boundary, atol=1e-10)
             np.testing.assert_allclose(
-                b.repeating_mass, s.repeating_mass, atol=1e-10
+                b.repeating_mass, dense.repeating_mass, atol=1e-10
             )
             np.testing.assert_allclose(
                 b.repeating_level_weighted,
-                s.repeating_level_weighted,
-                atol=1e-10,
+                dense.repeating_level_weighted,
+                rtol=1e-8,
             )
 
     def test_residual_is_small(self):

@@ -8,9 +8,14 @@ import pytest
 from repro import faults
 from repro.core import BgServiceMode, FgBgModel
 from repro.processes import MMPP, fit_mmpp2
-from repro.qbd import QBDProcess, solve_boundary, solve_qbd_batched
+from repro.qbd import (
+    QBDProcess,
+    QBDStationaryDistribution,
+    solve_boundary,
+    solve_qbd_batched,
+)
 from repro.qbd.boundary import solve_boundaries
-from repro.qbd.rmatrix import r_matrix
+from repro.qbd.rmatrix import r_matrix, r_matrix_functional_iteration
 from repro.workloads.paper import SERVICE_RATE_PER_MS, WORKLOADS
 
 MU = SERVICE_RATE_PER_MS
@@ -207,7 +212,7 @@ class TestLevelReduction:
         # dense solve.  (Logarithmic reduction's shifted rerun fits this
         # model's R exactly, so it cannot stand in here.)
         qbd = x0_qbd(SLOW_SWITCHING)
-        r = r_matrix(qbd.a0, qbd.a1, qbd.a2, algorithm="functional")
+        r = r_matrix_functional_iteration(qbd.a0, qbd.a1, qbd.a2)
         assert np.abs(r @ qbd.a2.sum(axis=1) - qbd.a0.sum(axis=1)).max() > 1e-8
         pi0, pi1 = solve_boundary(qbd, r)
         ref0, ref1 = dense_solve(qbd, r)
@@ -224,7 +229,7 @@ class TestStackedBoundary:
             x0_qbd(MMPP.two_state(v1=0.1, v2=0.2, l1=0.9, l2=0.2)),
         ]
         rs = [
-            r_matrix(qbds[0].a0, qbds[0].a1, qbds[0].a2, algorithm="functional"),
+            r_matrix_functional_iteration(qbds[0].a0, qbds[0].a1, qbds[0].a2),
             r_matrix(qbds[1].a0, qbds[1].a1, qbds[1].a2),
         ]
         pi0, pi1, failures = solve_boundaries(qbds, np.stack(rs))
@@ -282,12 +287,6 @@ class TestOneLevelModels:
     """Models that keep the default single boundary level solve through the
     Schur complement; their metrics match the dense solve."""
 
-    @pytest.fixture
-    def dense_boundary(self, monkeypatch):
-        import repro.qbd.stationary as stationary
-
-        monkeypatch.setattr(stationary, "solve_boundary", dense_solve)
-
     def models(self):
         from repro.core import MulticlassFgBgModel, PhServiceFgBgModel
         from repro.processes import PhaseType
@@ -312,10 +311,15 @@ class TestOneLevelModels:
             if isinstance(getattr(solution, f.name), (float, tuple))
         }
 
-    def test_metrics_match_dense_solve(self, request):
+    @staticmethod
+    def dense_solution(model):
+        qbd = model._qbd
+        r = r_matrix(qbd.a0, qbd.a1, qbd.a2)
+        return model._metrics(QBDStationaryDistribution(qbd, r, *dense_solve(qbd, r)))
+
+    def test_metrics_match_dense_solve(self):
         new = [self.metrics(model.solve()) for model in self.models()]
-        request.getfixturevalue("dense_boundary")
-        dense = [self.metrics(model.solve()) for model in self.models()]
+        dense = [self.metrics(self.dense_solution(model)) for model in self.models()]
         for got, expected in zip(new, dense):
             assert got.keys() == expected.keys() and len(got) >= 6
             for key, value in expected.items():

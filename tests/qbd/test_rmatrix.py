@@ -11,7 +11,6 @@ from repro.qbd import (
     r_matrix,
     r_matrix_from_g,
     r_matrix_functional_iteration,
-    r_matrix_logarithmic_reduction,
     r_matrix_natural_iteration,
 )
 from repro.qbd.rmatrix import _closed_classes
@@ -106,14 +105,16 @@ class TestClosedClasses:
         assert [c.tolist() for c in _closed_classes(a)] == [[1, 2], [3]]
 
 
-ALGOS = [
-    r_matrix_functional_iteration,
-    r_matrix_natural_iteration,
-    r_matrix_logarithmic_reduction,
-]
+#: Solver by test id; logarithmic reduction is ``r_matrix`` itself.
+SOLVERS = {
+    "r_matrix_functional_iteration": r_matrix_functional_iteration,
+    "r_matrix_natural_iteration": r_matrix_natural_iteration,
+    "r_matrix_logarithmic_reduction": r_matrix,
+}
+ALGOS = list(SOLVERS.values())
 
 
-@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("algo", ALGOS, ids=list(SOLVERS))
 class TestRAlgorithms:
     def test_mm1_r_is_rho(self, algo):
         r = algo(*MM1)
@@ -138,18 +139,6 @@ class TestAgreement:
         results = [algo(a0, a1, a2) for algo in ALGOS]
         for other in results[1:]:
             np.testing.assert_allclose(results[0], other, atol=1e-8)
-
-    def test_dispatch_by_name(self):
-        a0, a1, a2 = mmpp_m1_blocks()
-        for name in ("logarithmic-reduction", "natural", "functional"):
-            r = r_matrix(a0, a1, a2, algorithm=name)
-            np.testing.assert_allclose(
-                a0 + r @ a1 + r @ r @ a2, 0.0, atol=1e-8
-            )
-
-    def test_unknown_algorithm_raises(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            r_matrix(*MM1, algorithm="magic")
 
     def test_unstable_raises(self):
         a0, a1, a2 = np.array([[3.0]]), np.array([[-5.0]]), np.array([[2.0]])

@@ -271,7 +271,7 @@ def _seed_for(name: str, *, batched: bool) -> ArrayFact | None:
 
 def _is_batched_path(path: str) -> bool:
     name = PurePath(path).name
-    return "batched" in name or name == "boundary.py"
+    return "batched" in name or name in ("boundary.py", "rmatrix.py")
 
 
 def _path_parts(path: str) -> tuple[str, ...]:
@@ -308,10 +308,8 @@ _BLOCK_TRIPLE_SINKS = frozenset(
         "r_matrix",
         "batched_r_matrix",
         "r_matrix_functional_iteration",
-        "r_matrix_logarithmic_reduction",
         "r_matrix_natural_iteration",
         "g_matrix_logarithmic_reduction",
-        "g_matrix_natural_iteration",
         "drift",
         "is_stable",
     }
