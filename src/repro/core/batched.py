@@ -6,24 +6,22 @@ grouped by QBD block structure, i.e. block sizes and boundary levels
 (models with ``bg_probability`` below ``NEAR_ZERO_BG_PROBABILITY`` build
 their chain without background states and therefore land in their own
 group), each group runs as one stacked solve, and the per-model metrics
-come out of the same :func:`~repro.core.metrics.compute_metrics` pipeline
-as a sequential ``model.solve()`` -- so batched and sequential solutions
-agree to solver tolerance (including the deliberate NaN
-``bg_completion_rate`` of the near-zero-``p`` group).
+come out of :func:`~repro.core.metrics.compute_metrics`.
+``model.solve()`` is the one-item call, so the two agree exactly
+(including the deliberate NaN ``bg_completion_rate`` of the near-zero-``p``
+group).
 
-With ``on_error="skip"|"collect"`` a poisoned item no longer sinks its
-group: its solution slot is ``None``, its failure is reported (with its
-index remapped to the *input* model order) in the group's
-:class:`~repro.qbd.batched.BatchedSolveReport`, and every other item
-solves normally.  ``escalate=True`` additionally routes failed items
-through the truncated dense-chain rung before giving up on them.
+A failed item never sinks its group: its solution slot is ``None``, its
+failure is reported (with its index remapped to the *input* model order)
+in the group's :class:`~repro.qbd.batched.BatchedSolveReport`, and every
+other item solves normally.  ``escalate=True`` additionally routes failed
+items through the truncated dense-chain rung before giving up on them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import replace
-from typing import Literal, cast, overload
 
 from repro.core.metrics import compute_metrics
 from repro.core.model import FgBgModel
@@ -37,45 +35,9 @@ from repro.qbd.batched import (
 __all__ = ["solve_models_batched"]
 
 
-@overload
 def solve_models_batched(
-    models: Iterable[FgBgModel],
-    return_reports: Literal[False] = ...,
-    on_error: Literal["raise"] = ...,
-    escalate: bool = ...,
-) -> list[FgBgSolution]: ...
-
-
-@overload
-def solve_models_batched(
-    models: Iterable[FgBgModel],
-    *,
-    return_reports: Literal[True],
-    on_error: Literal["raise"] = ...,
-    escalate: bool = ...,
-) -> tuple[list[FgBgSolution], list[BatchedSolveReport]]: ...
-
-
-@overload
-def solve_models_batched(
-    models: Iterable[FgBgModel],
-    *,
-    return_reports: Literal[True],
-    on_error: str,
-    escalate: bool = ...,
-) -> tuple[list[FgBgSolution | None], list[BatchedSolveReport]]: ...
-
-
-def solve_models_batched(
-    models: Iterable[FgBgModel],
-    return_reports: bool = False,
-    on_error: str = "raise",
-    escalate: bool = False,
-) -> (
-    list[FgBgSolution]
-    | list[FgBgSolution | None]
-    | tuple[list[FgBgSolution | None], list[BatchedSolveReport]]
-):
+    models: Iterable[FgBgModel], escalate: bool = False
+) -> tuple[list[FgBgSolution | None], list[BatchedSolveReport]]:
     """Solve many models through the batched kernel; order is preserved.
 
     Parameters
@@ -83,27 +45,27 @@ def solve_models_batched(
     models:
         Non-empty sequence of :class:`~repro.core.model.FgBgModel`
         instances.  Shapes may be mixed -- grouping happens here.
-    return_reports:
-        When True, also return one :class:`BatchedSolveReport` per shape
-        group, in first-appearance order; failure indices inside the
-        reports refer to the *input* model order.
-    on_error:
-        ``"raise"`` (default) propagates the first failure; ``"skip"`` /
-        ``"collect"`` isolate failures per item -- the failed model's
-        solution slot is ``None`` and its failure is reported, while the
-        rest of its shape group solves normally.
     escalate:
         Route items the matrix-geometric pipeline fails through the
         truncated dense-chain rung before giving up (see
         :func:`repro.qbd.batched.solve_qbd_batched`).
 
+    Returns
+    -------
+    ``(solutions, reports)``: one solution per model, ``None`` for a
+    failed one, and one :class:`BatchedSolveReport` per shape group in
+    first-appearance order, whose failure indices refer to the *input*
+    model order.  Unstable models fail at stage ``"precheck"``, with the
+    message ``model.solve()`` raises, in one more zero-work report; they
+    are never solved or escalated: no stationary regime exists to
+    degrade to.
+
     Raises
     ------
     ValueError
-        If ``models`` is empty, or (in ``"raise"`` mode) any model is
-        unstable -- the same message a sequential ``model.solve()``
-        raises, before any solving starts.  Unstable models are never
-        escalated: no stationary regime exists to degrade to.
+        If ``models`` is empty.
+    TypeError
+        If an item is not an :class:`FgBgModel`.
     """
     models = list(models)
     if not models:
@@ -115,18 +77,14 @@ def solve_models_batched(
                 f"expected FgBgModel instances, got {type(model).__name__}"
             )
         if not model.is_stable:
-            error = ValueError(
-                f"model is unstable: foreground utilization "
-                f"{model.fg_utilization:.4g} >= 1; no stationary regime exists"
-            )
-            if on_error == "raise":
-                raise error
-            failures[index] = BatchedItemFailure(
-                index=index,
-                stage="precheck",
-                error_type="ValueError",
-                message=str(error),
-                error=error,
+            failures[index] = BatchedItemFailure.from_exception(
+                index,
+                "precheck",
+                ValueError(
+                    f"model is unstable: foreground utilization "
+                    f"{model.fg_utilization:.4g} >= 1; no stationary regime "
+                    "exists"
+                ),
             )
     groups: dict[tuple[int, int, tuple[int, ...]], list[int]] = {}
     for index, model in enumerate(models):
@@ -139,10 +97,7 @@ def solve_models_batched(
     reports: list[BatchedSolveReport] = []
     for indices in groups.values():
         distributions, report = solve_qbd_batched(
-            [models[i].qbd for i in indices],
-            return_report=True,
-            on_error=on_error,
-            escalate=escalate,
+            [models[i].qbd for i in indices], escalate=escalate
         )
         # Group-local failure indices -> input model order.
         group_failures = tuple(
@@ -174,14 +129,4 @@ def solve_models_batched(
                 failures=tuple(failures[i] for i in sorted(failures)),
             )
         )
-    if on_error == "raise":
-        # Every index belongs to exactly one group and no failure was
-        # isolated, so no slot is left None; the cast records that
-        # invariant for the type checker.
-        solved = cast("list[FgBgSolution]", solutions)
-        if return_reports:
-            return solved, reports
-        return solved
-    if return_reports:
-        return solutions, reports
-    return solutions
+    return solutions, reports

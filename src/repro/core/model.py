@@ -33,11 +33,11 @@ from repro.contracts.checks import (
     contracts_enabled,
 )
 from repro.core.blocks import BgServiceMode, build_qbd
-from repro.core.metrics import NEAR_ZERO_BG_PROBABILITY, compute_metrics
+from repro.core.metrics import NEAR_ZERO_BG_PROBABILITY
 from repro.core.result import FgBgSolution
 from repro.core.states import StateSpace
 from repro.processes.map_process import MarkovianArrivalProcess
-from repro.qbd.stationary import solve_qbd
+from repro.qbd.rmatrix import raise_first_failure
 from repro.qbd.structure import QBDProcess
 
 __all__ = ["FgBgModel", "BgServiceMode"]
@@ -170,6 +170,9 @@ class FgBgModel:
     def solve(self, escalate: bool = False) -> FgBgSolution:
         """Solve the model and return all stationary metrics.
 
+        The one-item call of :func:`repro.core.batched.solve_models_batched`;
+        the item's failure, if any, is raised.
+
         Parameters
         ----------
         escalate:
@@ -186,20 +189,13 @@ class FgBgModel:
             without ``escalate``; degradation never fabricates a
             stationary regime.
         """
-        if not self.is_stable:
-            raise ValueError(
-                f"model is unstable: foreground utilization "
-                f"{self.fg_utilization:.4g} >= 1; no stationary regime exists"
-            )
-        qbd, space = self._qbd_and_space
-        qbd_solution = solve_qbd(qbd, escalate=escalate)
-        return compute_metrics(
-            space=space,
-            qbd_solution=qbd_solution,
-            arrival=self.arrival,
-            service_rate=self.service_rate,
-            bg_probability=self.bg_probability,
-        )
+        # Imported lazily: repro.core.batched imports this module.
+        from repro.core.batched import solve_models_batched
+
+        (solution,), reports = solve_models_batched([self], escalate=escalate)
+        raise_first_failure(reports)
+        assert solution is not None  # a failed item raised above
+        return solution
 
     # ------------------------------------------------------------------
     # Identity

@@ -26,12 +26,11 @@ from repro.engine.resilience import (
     failure_from_exception,
     validate_on_error,
 )
-from repro.engine.stats import BatchGroupRecord, EngineStats, SolveRecord
+from repro.engine.stats import EngineStats, SolveRecord
 from repro.qbd.rmatrix import SolveStats
 
 __all__ = [
     "ON_ERROR_MODES",
-    "BatchGroupRecord",
     "EngineConfig",
     "EngineStats",
     "FailedSolve",

@@ -41,7 +41,8 @@ from repro.engine.resilience import (
     SweepCancelled,
     failure_from_exception,
 )
-from repro.engine.stats import BatchGroupRecord, EngineStats, SolveRecord
+from repro.engine.stats import EngineStats, SolveRecord
+from repro.qbd.rmatrix import raise_first_failure
 
 __all__ = ["SweepEngine"]
 
@@ -62,8 +63,10 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
         * ``batched`` -- has no effect (see
           :class:`~repro.engine.config.EngineConfig`): every engine
           solves through the stacked kernel.
-        * ``on_error`` -- ``"raise"`` (default) propagates the first
-          solve failure.  ``"skip"`` and ``"collect"`` isolate failures
+        * ``on_error`` -- ``"raise"`` (default) raises the failure of the
+          lowest-index failed point, once the stacked solve has finished
+          and before anything of it is cached or recorded.  ``"skip"``
+          and ``"collect"`` isolate failures
           per point: the failed point's solution slot is ``None`` (NaN in
           any derived series) and every healthy point still solves.
           ``"skip"`` emits a
@@ -167,10 +170,12 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
         one stacked kernel call per group, recorded in
         :attr:`stats` ``.batch_groups``.  Solutions come back in input
         order and fresh ones populate the cache, so a later run over the
-        same models is all hits.  With
-        ``on_error="skip"``/``"collect"``, a poisoned item is isolated to
-        its own slot (``None``) per the kernel's item-level fallback --
-        the rest of its shape group solves normally.
+        same models is all hits.  The kernel reports every failed item
+        and never raises one; this is where ``on_error`` applies: in
+        ``"raise"`` mode the lowest-index failure is raised, with nothing
+        of the batch cached or recorded, and with
+        ``"skip"``/``"collect"`` a failed item is a ``None`` slot -- the
+        rest of its shape group solves normally.
         """
         if self.cancel is not None and self.cancel():
             raise SweepCancelled("sweep cancelled by the engine's cancel hook")
@@ -193,19 +198,12 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
             pending_keys = list(pending)
             pending_models = list(pending.values())
             solutions, reports = solve_models_batched(
-                pending_models,
-                return_reports=True,
-                on_error=self.config.on_error,
-                escalate=self.config.escalate,
+                pending_models, escalate=self.config.escalate
             )
+            if self.config.on_error == "raise":
+                raise_first_failure(reports)
             for report in reports:
-                self.stats.add_batch_group(
-                    BatchGroupRecord(
-                        boundary_size=report.boundary_size,
-                        phase_count=report.phase_count,
-                        report=report,
-                    )
-                )
+                self.stats.add_batch_group(report)
                 for item in report.failures:
                     self._record_failure(
                         FailedSolve(

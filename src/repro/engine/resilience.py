@@ -7,8 +7,9 @@ This module defines the vocabulary the engine uses to degrade gracefully:
 * the ``on_error`` modes of :class:`~repro.engine.SweepEngine`,
   :func:`~repro.experiments.sweeps.sweep` and ``sweep_many``:
 
-  - ``"raise"`` (default) -- propagate the first failure, the historical
-    behavior;
+  - ``"raise"`` (default) -- raise the failure of the lowest-index point
+    once the stacked solve has finished (the kernel itself only reports
+    failures; the engine applies the mode);
   - ``"skip"`` -- failed points become NaN in the series; each failure
     emits a :class:`ResilienceWarning`, and :class:`ContractViolation`
     failures are *additionally* recorded in
@@ -47,7 +48,6 @@ ON_ERROR_MODES = ("raise", "skip", "collect")
 
 #: Pipeline stages a :class:`FailedSolve` can originate from.
 FAILURE_STAGES = (
-    "solve",  # one model solve (the default of failure_from_exception)
     "batched",  # an item of a batched kernel call
     "cache-load",  # a corrupt on-disk cache entry (quarantined, re-solved)
 )
@@ -152,7 +152,7 @@ class FailedSolve:
 def failure_from_exception(  # noqa: RL007 -- validation delegated to FailedSolve.__post_init__
     fingerprint: str,
     exc: BaseException,
-    stage: str = "solve",
+    stage: str,
     attempts: tuple[str, ...] = (),
 ) -> FailedSolve:
     """Build a :class:`FailedSolve` from a caught exception.

@@ -17,35 +17,7 @@ from repro.engine.resilience import FailedSolve
 from repro.qbd.batched import BatchedSolveReport
 from repro.qbd.rmatrix import SolveStats
 
-__all__ = ["BatchGroupRecord", "EngineStats", "SolveRecord"]
-
-
-@dataclass(frozen=True)
-class BatchGroupRecord:
-    """One batched kernel call: one shape group of cache-miss models.
-
-    Wraps the kernel's :class:`~repro.qbd.batched.BatchedSolveReport`
-    (batch size, masked iteration total, wall time, fallback indices)
-    together with the engine-level shape key the group was formed under.
-    """
-
-    boundary_size: int
-    phase_count: int
-    report: BatchedSolveReport
-
-    def __post_init__(self) -> None:
-        if self.boundary_size < 0 or self.phase_count < 0:
-            raise ValueError(
-                f"block shape must be non-negative, got "
-                f"({self.boundary_size}, {self.phase_count})"
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "boundary_size": self.boundary_size,
-            "phase_count": self.phase_count,
-            **self.report.as_dict(),
-        }
+__all__ = ["EngineStats", "SolveRecord"]
 
 
 @dataclass(frozen=True)
@@ -73,7 +45,9 @@ class EngineStats:
     """Aggregated solve statistics of a :class:`~repro.engine.SweepEngine`."""
 
     records: list[SolveRecord] = field(default_factory=list)
-    batch_groups: list[BatchGroupRecord] = field(default_factory=list)
+    #: One :class:`~repro.qbd.batched.BatchedSolveReport` per stacked
+    #: kernel call (one shape group of cache-miss models).
+    batch_groups: list[BatchedSolveReport] = field(default_factory=list)
     #: Structured per-point failures isolated by ``on_error`` (see
     #: :mod:`repro.engine.resilience`); failed points have no
     #: :class:`SolveRecord` -- the :class:`FailedSolve` *is* their record.
@@ -85,8 +59,8 @@ class EngineStats:
     def extend(self, records: list[SolveRecord]) -> None:
         self.records.extend(records)
 
-    def add_batch_group(self, record: BatchGroupRecord) -> None:
-        self.batch_groups.append(record)
+    def add_batch_group(self, report: BatchedSolveReport) -> None:
+        self.batch_groups.append(report)
 
     def add_failure(self, failure: FailedSolve) -> None:
         self.failures.append(failure)

@@ -266,16 +266,6 @@ class Job:
             updated_ms=now_ms,
         )
 
-    def with_total(self, points_total: int, now_ms: float) -> Job:
-        """The worker announces how many points the job will solve."""
-        if self.state != RUNNING:
-            raise InvalidTransition(
-                f"job {self.job_id}: total announced in state {self.state}"
-            )
-        return replace(
-            self, points_total=points_total, heartbeat_ms=now_ms, updated_ms=now_ms
-        )
-
     def heartbeat(self, now_ms: float) -> Job:
         """Sign of life without progress (long single solves)."""
         if self.state != RUNNING:

@@ -22,7 +22,6 @@ from repro.jobs.lifecycle import (
     COMPLETED,
     PENDING,
     RUNNING,
-    TERMINAL_STATES,
     Job,
 )
 from repro.jobs.repository import JobRepository, StaleJobError, now_ms
@@ -161,7 +160,3 @@ class JobService:
     # ------------------------------------------------------------------
     def list_jobs(self, state: str | None = None) -> list[Job]:
         return self.repository.list_jobs(state=state)
-
-    @staticmethod
-    def is_terminal_state(state: str) -> bool:
-        return state in TERMINAL_STATES

@@ -18,15 +18,19 @@ instead of once per *point*:
 
 :func:`repro.qbd.stationary.solve_qbd` is the one-item call.  The stacked
 path has no a-priori drift check: an unstable item cannot converge to a
-stochastic ``G``, so it lands in the ladder, whose drift diagnosis raises
-the same ``ValueError`` ``solve_qbd`` raises up front.
+stochastic ``G``, so it lands in the ladder, whose drift diagnosis fails
+it with the same ``ValueError`` ``solve_qbd`` raises up front.
+
+No stage raises an item's failure: each one lands in the returned
+:class:`BatchedSolveReport`, and the callers that raise (the one-item
+calls, the sweep engine in ``"raise"`` mode) pick it up from there with
+:func:`repro.qbd.rmatrix.raise_first_failure`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import replace
-from typing import Literal, overload
 
 import numpy as np
 
@@ -37,8 +41,6 @@ from repro.qbd.rmatrix import (
     BatchedItemFailure,
     BatchedSolveReport,
     QBDConvergenceError,
-    _item_failure,
-    _validate_on_error,
     batched_r_matrix,
 )
 from repro.qbd.stationary import QBDStationaryDistribution
@@ -53,45 +55,9 @@ __all__ = [
 ]
 
 
-@overload
 def solve_qbd_batched(
-    qbds: Iterable[QBDProcess],
-    return_report: Literal[False] = ...,
-    on_error: Literal["raise"] = ...,
-    escalate: bool = ...,
-) -> list[QBDStationaryDistribution]: ...
-
-
-@overload
-def solve_qbd_batched(
-    qbds: Iterable[QBDProcess],
-    *,
-    return_report: Literal[True],
-    on_error: Literal["raise"] = ...,
-    escalate: bool = ...,
-) -> tuple[list[QBDStationaryDistribution], BatchedSolveReport]: ...
-
-
-@overload
-def solve_qbd_batched(
-    qbds: Iterable[QBDProcess],
-    *,
-    return_report: Literal[True],
-    on_error: str,
-    escalate: bool = ...,
-) -> tuple[list[QBDStationaryDistribution | None], BatchedSolveReport]: ...
-
-
-def solve_qbd_batched(
-    qbds: Iterable[QBDProcess],
-    return_report: bool = False,
-    on_error: str = "raise",
-    escalate: bool = False,
-) -> (
-    list[QBDStationaryDistribution]
-    | list[QBDStationaryDistribution | None]
-    | tuple[list[QBDStationaryDistribution | None], BatchedSolveReport]
-):
+    qbds: Iterable[QBDProcess], escalate: bool = False
+) -> tuple[list[QBDStationaryDistribution | None], BatchedSolveReport]:
     """Solve ``N`` same-shape QBDs end to end in one stacked pipeline.
 
     :func:`repro.qbd.stationary.solve_qbd` is its one-item call.  Stacked
@@ -108,28 +74,25 @@ def solve_qbd_batched(
     qbds:
         Non-empty sequence of :class:`~repro.qbd.structure.QBDProcess`
         instances sharing one block structure.
-    return_report:
-        When True, return ``(distributions, report)``.
-    on_error:
-        ``"raise"`` (default) propagates the first per-item failure;
-        ``"skip"``/``"collect"`` isolate failures instead: the failed
-        item's distribution slot is ``None``, the failure lands in
-        ``report.failures``, and every other item solves normally.
     escalate:
         Per item that the matrix-geometric pipeline gives up on, try the
         truncated dense-chain rung
         (:func:`repro.qbd.truncated.solve_qbd_truncated`) before failing
         it; successful escalations return real distributions flagged
-        ``degraded=True`` in their ``solve_stats``.
+        ``degraded=True`` in their ``solve_stats``.  An unstable item
+        (the ladder's drift ``ValueError``) is never escalated: no
+        stationary regime exists to degrade to.
 
     Returns
     -------
-    List of :class:`~repro.qbd.stationary.QBDStationaryDistribution`, one
-    per input, each carrying its per-item
-    :class:`~repro.qbd.rmatrix.SolveStats` (``None`` slots only in
-    isolation mode).
+    ``(distributions, report)``: one
+    :class:`~repro.qbd.stationary.QBDStationaryDistribution` per input,
+    each carrying its per-item :class:`~repro.qbd.rmatrix.SolveStats`,
+    and the group's :class:`BatchedSolveReport`.  A failed item's slot
+    is ``None`` and its failure is in ``report.failures``; every other
+    item solves normally.  Only input errors and a violated mass
+    contract raise.
     """
-    _validate_on_error(on_error)
     qbds = list(qbds)
     if not qbds:
         raise ValueError("solve_qbd_batched needs at least one QBD")
@@ -146,10 +109,6 @@ def solve_qbd_batched(
         )
     n, m = len(qbds), qbds[0].phase_count
     n_b = qbds[0].boundary_size
-    # With escalation on, the R stage must isolate its failures even in
-    # "raise" mode so the truncated rung gets its chance; the original
-    # exception object is preserved and re-raised if escalation fails too.
-    isolate = on_error != "raise" or escalate
     # QBDProcess.__post_init__ validated the row split and froze every
     # block, so the stacked precondition is certified.
     r, stats_list, report = batched_r_matrix(
@@ -157,25 +116,24 @@ def solve_qbd_batched(
         np.stack([q.a1 for q in qbds]),
         np.stack([q.a2 for q in qbds]),
         blocks_validated=True,
-        return_stats=True,
-        on_error="collect" if isolate else "raise",
     )
-    stats_list = list(stats_list)
     failures: dict[int, BatchedItemFailure] = {
         f.index: f for f in report.failures
     }
     distributions: list[QBDStationaryDistribution | None] = [None] * n
 
     def _escalate_item(
-        i: int, rungs: tuple[str, ...], original: BaseException | None
+        i: int, rungs: tuple[str, ...], original: BaseException
     ) -> None:
-        """Run the truncated dense rung for item ``i`` or record/raise."""
+        """Run the truncated dense rung for item ``i``; record its failure
+        with the ``original`` error that sent the item there."""
         try:
             dist = solve_qbd_truncated(qbds[i], fallbacks=rungs)
         except (QBDConvergenceError, ValueError) as exc:
-            if on_error == "raise":
-                raise original if original is not None else exc
-            failures[i] = _item_failure(i, "truncated", exc, rungs)
+            failures[i] = replace(
+                BatchedItemFailure.from_exception(i, "truncated", exc, rungs),
+                error=original,
+            )
         else:
             distributions[i] = dist
             assert dist.solve_stats is not None
@@ -183,10 +141,12 @@ def solve_qbd_batched(
             failures.pop(i, None)
 
     if escalate:
+        # An unstable item's drift diagnosis (a plain ValueError) stands:
+        # no stationary regime exists to degrade to.
         for i, failure in sorted(failures.copy().items()):
-            _escalate_item(
-                i, failure.attempts or ("logarithmic-reduction",), failure.error
-            )
+            if type(failure.error) is not ValueError:
+                rungs = failure.attempts or ("logarithmic-reduction",)
+                _escalate_item(i, rungs, failure.error)
 
     # Boundary + level sums over the items the R stage actually solved.
     pending = [
@@ -205,10 +165,10 @@ def solve_qbd_batched(
                 _escalate_item(
                     i, (*stats.fallbacks, stats.algorithm, "boundary"), exc
                 )
-            elif on_error == "raise":
-                raise exc
             else:
-                failures[i] = _item_failure(i, "boundary", exc)
+                failures[i] = BatchedItemFailure.from_exception(
+                    i, "boundary", exc
+                )
         good_local = [
             k
             for k, i in enumerate(pending)
@@ -262,6 +222,4 @@ def solve_qbd_batched(
         boundary_size=n_b,
         failures=tuple(failures[i] for i in sorted(failures)),
     )
-    if return_report:
-        return distributions, report
-    return distributions
+    return distributions, report

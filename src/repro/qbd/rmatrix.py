@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Literal, overload
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "r_matrix_from_g",
     "r_matrix_functional_iteration",
     "r_matrix_natural_iteration",
+    "raise_first_failure",
     "validate_positive_recurrent",
 ]
 
@@ -81,11 +82,6 @@ _BUDGET_CHECK_EVERY = 256
 #: How long one fired ``solver_stall`` fault sleeps, in milliseconds.
 _STALL_SLEEP_MS = 25.0
 
-#: ``on_error`` modes accepted by the stacked entry points; "skip" and
-#: "collect" both isolate failures here (warning emission vs. silent
-#: collection is the engine's concern).
-_ON_ERROR_MODES = ("raise", "skip", "collect")
-
 
 def escalation_time_budget_ms() -> float:
     """The active escalation time budget, honouring the env override."""
@@ -106,22 +102,13 @@ def escalation_time_budget_ms() -> float:
     return ESCALATION_TIME_BUDGET_MS
 
 
-def _validate_on_error(value: str) -> str:
-    if value not in _ON_ERROR_MODES:
-        raise ValueError(
-            f"on_error must be one of {_ON_ERROR_MODES}, got {value!r}"
-        )
-    return value
-
-
 class QBDConvergenceError(RuntimeError):
     """Raised when an R/G iteration fails to converge.
 
     The ``iterations`` attribute records how many iterations were spent
     before giving up, so callers can account for abandoned attempts; after
     the escalation ladder is exhausted, ``attempts`` lists every rung that
-    was tried (the failure records of ``on_error="collect"`` sweeps
-    surface it).
+    was tried (the failure records of a stacked solve surface it).
     """
 
     def __init__(
@@ -214,7 +201,7 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class BatchedItemFailure:
-    """One isolated item failure inside a stacked solve.
+    """One item failure inside a stacked solve.
 
     Attributes
     ----------
@@ -227,40 +214,43 @@ class BatchedItemFailure:
         failed).
     error_type / message:
         Exception class name and ``str(exception)``.
+    error:
+        The exception a caller raises for this item: the one described
+        above, except after a failed escalation, where it is the original
+        error that sent the item to the truncated rung.
     contract_violation:
         True when the underlying exception was a
         :class:`~repro.contracts.ContractViolation`.
     attempts:
         Escalation rungs tried before the item was given up.
-    error:
-        The exception object itself, kept so ``on_error="raise"`` callers
-        re-raise the original error after a failed escalation.
     """
 
     index: int
     stage: str
     error_type: str
     message: str
+    error: BaseException
     contract_violation: bool = False
     attempts: tuple[str, ...] = ()
-    error: BaseException | None = None
 
-
-def _item_failure(
-    index: int,
-    stage: str,
-    exc: BaseException,
-    attempts: tuple[str, ...] = (),
-) -> BatchedItemFailure:
-    return BatchedItemFailure(
-        index=index,
-        stage=stage,
-        error_type=type(exc).__name__,
-        message=str(exc),
-        contract_violation=isinstance(exc, ContractViolation),
-        attempts=tuple(attempts) + tuple(getattr(exc, "attempts", ())),
-        error=exc,
-    )
+    @classmethod
+    def from_exception(
+        cls,
+        index: int,
+        stage: str,
+        exc: BaseException,
+        attempts: tuple[str, ...] = (),
+    ) -> BatchedItemFailure:
+        """The failure of item ``index`` at ``stage``, raised as ``exc``."""
+        return cls(
+            index=index,
+            stage=stage,
+            error_type=type(exc).__name__,
+            message=str(exc),
+            error=exc,
+            contract_violation=isinstance(exc, ContractViolation),
+            attempts=tuple(attempts) + tuple(getattr(exc, "attempts", ())),
+        )
 
 
 @dataclass(frozen=True)
@@ -288,9 +278,8 @@ class BatchedSolveReport:
         Boundary size ``n_b`` of every item (0 when unknown, e.g. a bare
         :func:`batched_r_matrix` call that never sees boundary blocks).
     failures:
-        Per-item failures isolated by ``on_error="skip"|"collect"``, in
-        input order; empty in ``"raise"`` mode (the first failure
-        propagated instead).
+        Every item failure, in input order; a failed item's result slot
+        is empty (zero ``R``, ``None`` distribution or solution).
     """
 
     batch_size: int
@@ -332,6 +321,18 @@ class BatchedSolveReport:
                 for f in self.failures
             ],
         }
+
+
+def raise_first_failure(reports: Iterable[BatchedSolveReport]) -> None:
+    """Raise the error of the lowest-index failure in ``reports``, if any.
+
+    The stacked solves never raise an item's failure themselves; their
+    raising callers (the one-item calls, and the sweep engine in
+    ``"raise"`` mode) apply this one policy.
+    """
+    failures = [f for report in reports for f in report.failures]
+    if failures:
+        raise min(failures, key=lambda f: f.index).error
 
 
 def _closed_classes(a: np.ndarray) -> list[np.ndarray]:
@@ -765,44 +766,21 @@ def _escalate(
     )
 
 
-@overload
-def batched_r_matrix(
-    a0: ArrayLike,
-    a1: ArrayLike,
-    a2: ArrayLike,
-    blocks_validated: bool = ...,
-    return_stats: Literal[False] = ...,
-    on_error: str = ...,
-) -> FloatArray: ...
-
-
-@overload
-def batched_r_matrix(
-    a0: ArrayLike,
-    a1: ArrayLike,
-    a2: ArrayLike,
-    blocks_validated: bool = ...,
-    *,
-    return_stats: Literal[True],
-    on_error: str = ...,
-) -> tuple[FloatArray, list[SolveStats], BatchedSolveReport]: ...
-
-
 def batched_r_matrix(
     a0: ArrayLike,
     a1: ArrayLike,
     a2: ArrayLike,
     blocks_validated: bool = False,
-    return_stats: bool = False,
-    on_error: str = "raise",
-) -> FloatArray | tuple[FloatArray, list[SolveStats], BatchedSolveReport]:
+) -> tuple[FloatArray, list[SolveStats], BatchedSolveReport]:
     """Minimal R matrices of ``N`` stacked QBD block triples.
 
     One masked logarithmic reduction solves every item at once.  Items it
     cannot finish (overflow, singular step, failed minimality
     certificate, no convergence) go through the per-item ladder: the
-    drift diagnosis, so an unstable item raises ``ValueError``, then
-    functional and natural iteration.
+    drift diagnosis, so an unstable item fails with ``ValueError``, then
+    functional and natural iteration.  An item the ladder gives up on
+    never fails another: its ``R`` slot stays zero and its failure lands
+    in ``report.failures``.
 
     Parameters
     ----------
@@ -814,21 +792,13 @@ def batched_r_matrix(
         generator/row-split precondition and is frozen read-only (true for
         blocks taken off :class:`~repro.qbd.structure.QBDProcess`
         instances).  Never pass True for hand-assembled stacks.
-    return_stats:
-        When True, return ``(R, stats, report)`` where ``stats`` is a list
-        of per-item :class:`SolveStats` and ``report`` the group-level
-        :class:`BatchedSolveReport`.
-    on_error:
-        ``"raise"`` (default) propagates the first ladder failure;
-        ``"skip"``/``"collect"`` isolate it instead -- the item's ``R``
-        slot stays zero, and the failure lands in ``report.failures``
-        (pass ``return_stats=True`` to see it).
 
     Returns
     -------
-    ``(N, m, m)`` stack of R matrices (read-only), optionally with stats.
+    ``(R, stats, report)``: the ``(N, m, m)`` stack of R matrices
+    (read-only), the per-item :class:`SolveStats` and the group-level
+    :class:`BatchedSolveReport`.
     """
-    _validate_on_error(on_error)
     a0 = _as_block_stack(a0, "A0")
     a1 = _as_block_stack(a1, "A1")
     a2 = _as_block_stack(a2, "A2")
@@ -888,15 +858,13 @@ def batched_r_matrix(
         except (QBDConvergenceError, ValueError, ContractViolation) as exc:
             # Unstable item (ValueError), negative R or exhausted ladder
             # (QBDConvergenceError), or violated R postcondition
-            # (ContractViolation).  In isolation mode the item's R slot
-            # stays zero and downstream stages must skip it.
-            if on_error == "raise":
-                raise
-            failures.append(_item_failure(int(i), "r-matrix", exc))
+            # (ContractViolation).  The item's R slot stays zero and
+            # downstream stages must skip it.
+            failures.append(
+                BatchedItemFailure.from_exception(int(i), "r-matrix", exc)
+            )
     r.setflags(write=False)
     wall_time_ms = (time.perf_counter() - start) * 1e3
-    if not return_stats:
-        return r
     # One stacked eigenvalue call covers every item's reported sp(R).
     radii = (
         np.abs(np.linalg.eigvals(r)).max(axis=1) if n else np.zeros(0)
@@ -967,11 +935,10 @@ def r_matrix(
         check_nonnegative(a2, "A2")
         check_generator(a0 + a1 + a2, "A0+A1+A2")
     validate_positive_recurrent(a0, a1, a2)
-    r, stats, _ = batched_r_matrix(
-        a0[None], a1[None], a2[None],
-        blocks_validated=blocks_validated,
-        return_stats=True,
+    r, stats, report = batched_r_matrix(
+        a0[None], a1[None], a2[None], blocks_validated=blocks_validated
     )
+    raise_first_failure([report])
     if not return_stats:
         return r[0]
     return r[0], stats[0]

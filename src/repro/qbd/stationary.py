@@ -6,7 +6,11 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.qbd.rmatrix import SolveStats, validate_positive_recurrent
+from repro.qbd.rmatrix import (
+    SolveStats,
+    raise_first_failure,
+    validate_positive_recurrent,
+)
 from repro.qbd.structure import QBDProcess
 
 __all__ = ["QBDStationaryDistribution", "solve_qbd"]
@@ -149,9 +153,9 @@ def solve_qbd(
     """Solve a QBD end to end: R matrix, boundary system, stationary object.
 
     The one-item call of :func:`repro.qbd.batched.solve_qbd_batched`,
-    after the drift test a single QBD gets first.  The returned
-    distribution carries the :class:`~repro.qbd.rmatrix.SolveStats` of
-    its R solve.
+    after the drift test a single QBD gets first; the item's failure, if
+    any, is raised.  The returned distribution carries the
+    :class:`~repro.qbd.rmatrix.SolveStats` of its R solve.
 
     With ``escalate=True`` the solve gains a last rung: when every
     matrix-geometric iteration fails (``QBDConvergenceError``) or the
@@ -167,5 +171,7 @@ def solve_qbd(
     from repro.qbd.batched import solve_qbd_batched
 
     validate_positive_recurrent(qbd.a0, qbd.a1, qbd.a2)
-    (distribution,) = solve_qbd_batched([qbd], escalate=escalate)
+    (distribution,), report = solve_qbd_batched([qbd], escalate=escalate)
+    raise_first_failure([report])
+    assert distribution is not None  # a failed item raised above
     return distribution

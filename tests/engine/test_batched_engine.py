@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.batched import solve_models_batched
 from repro.core.model import FgBgModel
-from repro.engine import BatchGroupRecord, EngineConfig, SweepEngine
+from repro.engine import EngineConfig, SweepEngine
 from repro.processes import fit_mmpp2
+from repro.qbd import batched as batched_module
 from repro.qbd.batched import BatchedSolveReport
+from repro.qbd.rmatrix import QBDConvergenceError
 from repro.workloads.paper import SERVICE_RATE_PER_MS
 
 from ..conftest import functional_iteration_solution
@@ -33,7 +36,7 @@ def sweep_models(utils=(0.1, 0.2, 0.3, 0.4, 0.5), ps=(0.1, 0.3)):
 class TestSolveModelsBatched:
     def test_matches_sequential_metrics(self):
         models = sweep_models()
-        batched = solve_models_batched(models)
+        batched, _ = solve_models_batched(models)
         for model, solution in zip(models, batched):
             assert solution.as_dict() == model.solve().as_dict()
             reference = functional_iteration_solution(model)
@@ -49,7 +52,7 @@ class TestSolveModelsBatched:
     def test_groups_mixed_shapes(self):
         # p = 0 builds the chain without background states: its own group.
         models = sweep_models(ps=(0.0, 0.3))
-        solutions, reports = solve_models_batched(models, return_reports=True)
+        solutions, reports = solve_models_batched(models)
         assert len(reports) == 2
         assert {r.batch_size for r in reports} == {5}
         assert all(np.isnan(s.bg_completion_rate) for s in solutions[:5])
@@ -60,8 +63,22 @@ class TestSolveModelsBatched:
             solve_models_batched([])
 
     def test_rejects_unstable_model_before_solving(self):
-        with pytest.raises(ValueError, match="unstable"):
-            solve_models_batched([mmpp_base().at_utilization(1.2)])
+        # The kernel reports the unstable model as a precheck failure in a
+        # zero-work report; its raising callers raise the same error.
+        unstable = mmpp_base().at_utilization(1.2)
+        solutions, reports = solve_models_batched([mmpp_base(), unstable])
+        assert solutions[0] is not None and solutions[1] is None
+        precheck = reports[-1]
+        assert (precheck.batch_size, precheck.iterations) == (1, 0)
+        (failure,) = precheck.failures
+        assert (failure.index, failure.stage) == (1, "precheck")
+        assert failure.error_type == "ValueError"
+        assert "model is unstable" in failure.message
+        with pytest.raises(ValueError, match="unstable") as from_model:
+            unstable.solve()
+        with pytest.raises(ValueError, match="unstable") as from_engine:
+            SweepEngine().solve(unstable)
+        assert str(from_model.value) == str(from_engine.value) == failure.message
 
     def test_rejects_non_model(self):
         with pytest.raises(TypeError, match="FgBgModel"):
@@ -83,9 +100,8 @@ class TestBatchedEngine:
         engine.run_chain(sweep_models(ps=(0.0, 0.3)))
         assert len(engine.stats.batch_groups) == 2
         for group in engine.stats.batch_groups:
-            assert isinstance(group, BatchGroupRecord)
-            assert isinstance(group.report, BatchedSolveReport)
-            assert group.report.batch_size == 5
+            assert isinstance(group, BatchedSolveReport)
+            assert group.batch_size == 5
             payload = group.as_dict()
             assert payload["boundary_size"] == group.boundary_size
             assert payload["batch_size"] == 5
@@ -112,7 +128,7 @@ class TestBatchedEngine:
         solutions = engine.run_chain([model, model, model])
         assert engine.stats.solves == 3
         assert engine.stats.solver_calls == 1
-        assert engine.stats.batch_groups[0].report.batch_size == 1
+        assert engine.stats.batch_groups[0].batch_size == 1
         assert solutions[0] is solutions[2]
 
     def test_run_chains_pools_all_chains(self):
@@ -126,7 +142,7 @@ class TestBatchedEngine:
         assert [len(r) for r in results] == [2, 2, 2]
         # One shape, one pooled kernel call for all six points.
         assert len(engine.stats.batch_groups) == 1
-        assert engine.stats.batch_groups[0].report.batch_size == 6
+        assert engine.stats.batch_groups[0].batch_size == 6
         sequential = [[model.solve() for model in chain] for chain in chains]
         for seq_chain, bat_chain in zip(sequential, results):
             for s, b in zip(seq_chain, bat_chain):
@@ -159,3 +175,60 @@ class TestBatchedEngine:
         assert follower.stats.cache_hits == len(models)
         for s, b in zip(sequential, batched):
             assert s.fg_response_time == b.fg_response_time
+
+
+class TestRaisePolicy:
+    """``on_error="raise"`` applies once, in the engine, after the kernel."""
+
+    def models(self):
+        # Three stable models, then an unstable one at input index 3.
+        return [
+            *sweep_models(utils=(0.2, 0.3, 0.4), ps=(0.3,)),
+            mmpp_base().at_utilization(1.2),
+        ]
+
+    def test_lowest_index_failure_raised_and_nothing_cached(self):
+        # Item 1 fails in the boundary stage, item 3 at the precheck,
+        # which the kernel reports in a later report: the lower index is
+        # raised, and the failed batch leaves nothing cached or recorded.
+        progress = []
+        engine = SweepEngine(progress=progress.append)
+        with faults.inject("singular_boundary:after=1:limit=1"):
+            with pytest.raises(np.linalg.LinAlgError, match="injected"):
+                engine.solve_batch(self.models())
+        assert len(engine.cache) == 0
+        assert engine.stats.records == []
+        assert engine.stats.batch_groups == []
+        assert progress == []
+
+    def test_unstable_first_item_raised(self):
+        # Reversed, the unstable model is index 0 and the boundary fault
+        # hits index 2.
+        engine = SweepEngine()
+        with faults.inject("singular_boundary:after=1:limit=1"):
+            with pytest.raises(ValueError, match="model is unstable"):
+                engine.solve_batch(self.models()[::-1])
+        assert len(engine.cache) == 0
+
+    def test_failed_escalation_raises_the_original_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise QBDConvergenceError("truncated rung refused")
+
+        monkeypatch.setattr(batched_module, "solve_qbd_truncated", refuse)
+        models = self.models()[:3]
+        engine = SweepEngine(EngineConfig(escalate=True))
+        with faults.inject("singular_boundary:after=1:limit=1"):
+            with pytest.raises(np.linalg.LinAlgError, match="injected"):
+                engine.solve_batch(models)
+        # The record of the same point describes the rung's own failure.
+        collect = SweepEngine(EngineConfig(on_error="collect", escalate=True))
+        with faults.inject("singular_boundary:after=1:limit=1"):
+            got = collect.solve_batch(models)
+        assert got[1] is None
+        (failure,) = collect.stats.failures
+        assert failure.error_type == "QBDConvergenceError"
+        assert failure.message == "truncated rung refused"
+        (group,) = collect.stats.batch_groups
+        (item,) = group.failures
+        assert item.stage == "truncated"
+        assert isinstance(item.error, np.linalg.LinAlgError)

@@ -190,8 +190,8 @@ class TestBatchedIsolation:
         assert failure.stage == "batched"
         assert failure.fingerprint == models[3].fingerprint()
         (group,) = engine.stats.batch_groups
-        assert group.report.batch_size == 10
-        assert len(group.report.failures) == 1
+        assert group.batch_size == 10
+        assert len(group.failures) == 1
 
     def test_poisoned_item_escalates_and_recovers(self):
         models = poisson_models(10)

@@ -76,7 +76,7 @@ class TestBatchedEqualsSequential:
     )
     @settings(max_examples=25, deadline=None)
     def test_single_model(self, model):
-        (batched,) = solve_models_batched([model])
+        (batched,), _ = solve_models_batched([model])
         assert_solutions_agree(model.solve(), batched)
 
     @given(
@@ -91,7 +91,7 @@ class TestBatchedEqualsSequential:
     @settings(max_examples=15, deadline=None)
     def test_sweep_axis(self, model, utils):
         models = [model.at_utilization(u) for u in utils]
-        batched = solve_models_batched(models)
+        batched, _ = solve_models_batched(models)
         for m, b in zip(models, batched):
             assert_solutions_agree(m.solve(), b)
 
@@ -99,7 +99,7 @@ class TestBatchedEqualsSequential:
     @settings(max_examples=10, deadline=None)
     def test_near_zero_bg_probability_is_nan(self, model):
         assert model.bg_probability < NEAR_ZERO_BG_PROBABILITY
-        (batched,) = solve_models_batched([model])
+        (batched,), _ = solve_models_batched([model])
         assert np.isnan(batched.bg_completion_rate)
         assert_solutions_agree(model.solve(), batched)
 
@@ -112,7 +112,7 @@ class TestBatchedEqualsSequential:
             model.with_bg_probability(0.0),
             model.with_bg_probability(max(model.bg_probability, 0.1)),
         ]
-        batched = solve_models_batched(models)
+        batched, _ = solve_models_batched(models)
         assert np.isnan(batched[0].bg_completion_rate)
         for m, b in zip(models, batched):
             assert_solutions_agree(m.solve(), b)

@@ -15,6 +15,7 @@ from repro.qbd import (
     solve_qbd,
     solve_qbd_batched,
 )
+from repro.qbd import batched as batched_module
 from repro.qbd.rmatrix import QBDConvergenceError, _logarithmic_reduction
 from repro.qbd.truncated import solve_qbd_truncated
 from repro.workloads.paper import SERVICE_RATE_PER_MS
@@ -64,7 +65,7 @@ class TestBatchedRMatrix:
         # one-item call is bit-identical), and it is the minimal solution
         # Neuts' functional iteration converges to independently.
         qbds = [m.qbd for m in email_models()]
-        stacked = batched_r_matrix(
+        stacked, _, _ = batched_r_matrix(
             np.stack([q.a0 for q in qbds]),
             np.stack([q.a1 for q in qbds]),
             np.stack([q.a2 for q in qbds]),
@@ -78,7 +79,7 @@ class TestBatchedRMatrix:
 
     def test_nearly_critical_item_solved_inside_the_stack(self):
         triples = [mmpp_m1_triple(0.5), NEARLY_CRITICAL, mmpp_m1_triple(0.8)]
-        r, stats, report = batched_r_matrix(*stack(*triples), return_stats=True)
+        r, stats, report = batched_r_matrix(*stack(*triples))
         assert report.fallbacks == ()
         assert stats[1].algorithm == "logarithmic-reduction"
         assert stats[1].fallbacks == ()
@@ -93,14 +94,16 @@ class TestBatchedRMatrix:
     def test_mm1_closed_form(self):
         lam, mu = 1.0, 2.0
         a0, a1, a2 = mm1_triple(lam, mu)
-        stack = batched_r_matrix(
+        stack, _, _ = batched_r_matrix(
             np.stack([a0, a0]), np.stack([a1, a1]), np.stack([a2, a2])
         )
         np.testing.assert_allclose(stack, lam / mu, atol=1e-12)
 
     def test_result_is_read_only(self):
         a0, a1, a2 = mm1_triple()
-        stack = batched_r_matrix(np.stack([a0]), np.stack([a1]), np.stack([a2]))
+        stack, _, _ = batched_r_matrix(
+            np.stack([a0]), np.stack([a1]), np.stack([a2])
+        )
         assert not stack.flags.writeable
 
     def test_stats_and_report(self):
@@ -110,7 +113,6 @@ class TestBatchedRMatrix:
             np.stack([q.a1 for q in qbds]),
             np.stack([q.a2 for q in qbds]),
             blocks_validated=True,
-            return_stats=True,
         )
         assert isinstance(report, BatchedSolveReport)
         assert report.batch_size == 3
@@ -163,15 +165,23 @@ class TestBatchedRMatrix:
         with pytest.raises(ContractViolation, match=r"A0\[1\]"):
             batched_r_matrix(bad_a0, np.stack([a1, a1]), np.stack([a2, a2]))
 
-    def test_unstable_item_raises_like_scalar(self):
+    def test_unstable_item_reported_like_scalar(self):
         # lam > mu: the reduction cannot produce a stochastic G, and the
-        # ladder's drift diagnosis raises.
+        # ladder's drift diagnosis fails the item -- with the error the
+        # scalar call raises -- while its neighbour solves.
         a0, a1, a2 = mm1_triple(lam=3.0, mu=2.0)
         g0, g1, g2 = mm1_triple()
-        with pytest.raises(ValueError, match="not positive recurrent"):
-            batched_r_matrix(
-                np.stack([g0, a0]), np.stack([g1, a1]), np.stack([g2, a2])
-            )
+        r, _, report = batched_r_matrix(
+            np.stack([g0, a0]), np.stack([g1, a1]), np.stack([g2, a2])
+        )
+        np.testing.assert_allclose(r[0], 0.5, atol=1e-12)
+        np.testing.assert_array_equal(r[1], 0.0)
+        (failure,) = report.failures
+        assert (failure.index, failure.stage) == (1, "r-matrix")
+        assert isinstance(failure.error, ValueError)
+        with pytest.raises(ValueError) as excinfo:
+            r_matrix(a0, a1, a2)
+        assert failure.message == str(excinfo.value)
 
     def test_negative_r_fails_instead_of_escalating(self, monkeypatch):
         # Blocks that are no QBD's (A0 < 0) pass when contracts are off.
@@ -198,11 +208,13 @@ class TestBatchedRMatrix:
             for solve in (
                 lambda: r_matrix(*triple),
                 lambda: solve_qbd(qbd),
-                lambda: solve_qbd_batched([qbd]),
             ):
                 with pytest.raises(ValueError) as excinfo:
                     solve()
                 messages.append(str(excinfo.value))
+            (distribution,), report = solve_qbd_batched([qbd])
+            assert distribution is None
+            messages.append(report.failures[0].message)
             assert messages[0].startswith("QBD is not positive recurrent")
             assert messages == [messages[0]] * 3
 
@@ -212,7 +224,7 @@ class TestSolveQbdBatched:
         # Stacked items equal their one-item solves, and the distributions
         # match the truncated dense chain (an independent solve).
         qbds = [m.qbd for m in email_models()]
-        batched = solve_qbd_batched(qbds)
+        batched, _ = solve_qbd_batched(qbds)
         for q, b in zip(qbds, batched):
             np.testing.assert_array_equal(b.r, solve_qbd(q).r)
             dense = solve_qbd_truncated(q)
@@ -227,29 +239,60 @@ class TestSolveQbdBatched:
             )
 
     def test_residual_is_small(self):
-        for dist in solve_qbd_batched([m.qbd for m in email_models()]):
+        for dist in solve_qbd_batched([m.qbd for m in email_models()])[0]:
             assert dist.residual(levels=6) < 1e-9
 
     def test_total_mass_is_one(self):
-        for dist in solve_qbd_batched([m.qbd for m in email_models()]):
+        for dist in solve_qbd_batched([m.qbd for m in email_models()])[0]:
             assert dist.total_mass == pytest.approx(1.0, abs=1e-10)
 
     def test_seeded_level_sums_match_lazy_path(self):
         qbds = [m.qbd for m in email_models(ps=(0.1, 0.6))]
-        for dist in solve_qbd_batched(qbds):
+        for dist in solve_qbd_batched(qbds)[0]:
             seeded = dist.repeating_mass
             lazy = dist._apply_inv_i_minus_r(dist.level(1))
             np.testing.assert_allclose(seeded, lazy, atol=1e-12)
 
     def test_single_item_batch(self):
         qbd = email_models(ps=(0.3,))[0].qbd
-        (dist,), report = solve_qbd_batched([qbd], return_report=True)
+        (dist,), report = solve_qbd_batched([qbd])
         reference = solve_qbd(qbd)
         np.testing.assert_array_equal(dist.r, reference.r)
         assert report.batch_size == 1
 
+    def test_failed_item_is_a_none_slot_with_a_record(self):
+        # The kernel reports an item's failure instead of raising it: the
+        # unstable item's slot is None, its neighbours solve as if alone.
+        stable = QBDProcess.homogeneous(*mm1_triple())
+        unstable = QBDProcess.homogeneous(*mm1_triple(lam=3.0, mu=2.0))
+        got, report = solve_qbd_batched([stable, unstable, stable])
+        assert got[1] is None
+        for i in (0, 2):
+            np.testing.assert_array_equal(got[i].r, solve_qbd(stable).r)
+        (failure,) = report.failures
+        assert (failure.index, failure.stage) == (1, "r-matrix")
+        assert failure.error_type == "ValueError"
+
+    def test_escalation_keeps_drift_diagnosis(self, monkeypatch):
+        # An unstable item has no stationary regime to degrade to, so it
+        # never reaches the truncated rung: stage and message stay the
+        # ladder's drift diagnosis, the one solve_qbd raises.
+        def no_truncation(*args, **kwargs):
+            raise AssertionError("unstable item sent to the truncated rung")
+
+        monkeypatch.setattr(batched_module, "solve_qbd_truncated", no_truncation)
+        qbd = QBDProcess.homogeneous([[3]], [[-5]], [[2]])
+        (dist,), report = solve_qbd_batched([qbd], escalate=True)
+        assert dist is None
+        (failure,) = report.failures
+        assert (failure.stage, failure.error_type) == ("r-matrix", "ValueError")
+        assert "not positive recurrent" in failure.message
+        with pytest.raises(ValueError) as excinfo:
+            solve_qbd(qbd, escalate=True)
+        assert str(excinfo.value) == failure.message
+
     def test_carries_per_item_stats(self):
-        for dist in solve_qbd_batched([m.qbd for m in email_models()]):
+        for dist in solve_qbd_batched([m.qbd for m in email_models()])[0]:
             assert dist.solve_stats is not None
             assert dist.solve_stats.iterations > 0
 
@@ -268,6 +311,6 @@ class TestSolveQbdBatched:
             solve_qbd_batched([small, big])
 
     def test_distribution_arrays_read_only(self):
-        (dist,) = solve_qbd_batched([email_models(ps=(0.3,))[0].qbd])
+        (dist,), _ = solve_qbd_batched([email_models(ps=(0.3,))[0].qbd])
         for arr in (dist.r, dist.boundary, dist.repeating_mass):
             assert not np.asarray(arr).flags.writeable

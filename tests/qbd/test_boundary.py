@@ -269,11 +269,9 @@ class TestStackedBoundary:
             ).qbd
             for load in (0.2, 0.35, 0.5, 0.65, 0.8)
         ]
-        reference = solve_qbd_batched(qbds)
+        reference, _ = solve_qbd_batched(qbds)
         with faults.inject(f"singular_boundary:after={k}:limit=1"):
-            got, report = solve_qbd_batched(
-                qbds, return_report=True, on_error="collect"
-            )
+            got, report = solve_qbd_batched(qbds)
         assert got[k] is None
         (failure,) = report.failures
         assert (failure.index, failure.stage) == (k, "boundary")
