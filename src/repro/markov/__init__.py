@@ -3,17 +3,15 @@
 Low-level numerical building blocks shared by the arrival-process package,
 the QBD solver and the truncated-chain validation path:
 
-* :mod:`~repro.markov.generator` -- generator-matrix validation and helpers.
+* :mod:`~repro.markov.generator` -- generator-matrix validation.
 * :mod:`~repro.markov.stationary` -- stationary solves (dense LU and the
   numerically stable GTH elimination).
-* :mod:`~repro.markov.transient` -- transient distributions by uniformization.
-* :mod:`~repro.markov.birth_death` -- closed forms for birth-death chains.
+* :mod:`~repro.markov.deviation` -- deviation matrix and absorbing-chain
+  utilities.
 """
 
 from repro.markov.generator import (
-    embedded_dtmc,
     is_generator,
-    uniformization_rate,
     validate_generator,
 )
 from repro.markov.stationary import (
@@ -21,8 +19,6 @@ from repro.markov.stationary import (
     stationary_distribution_dense,
     stationary_distribution_gth,
 )
-from repro.markov.transient import transient_distribution
-from repro.markov.birth_death import birth_death_stationary
 from repro.markov.deviation import (
     absorption_probabilities,
     deviation_matrix,
@@ -31,15 +27,11 @@ from repro.markov.deviation import (
 )
 
 __all__ = [
-    "embedded_dtmc",
     "is_generator",
-    "uniformization_rate",
     "validate_generator",
     "stationary_distribution",
     "stationary_distribution_dense",
     "stationary_distribution_gth",
-    "transient_distribution",
-    "birth_death_stationary",
     "absorption_probabilities",
     "deviation_matrix",
     "fundamental_matrix",

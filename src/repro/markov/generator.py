@@ -1,4 +1,4 @@
-"""Validation and elementary transforms of CTMC generator matrices."""
+"""Validation of CTMC generator matrices."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import numpy as np
 __all__ = [
     "validate_generator",
     "is_generator",
-    "embedded_dtmc",
-    "uniformization_rate",
 ]
 
 #: Default absolute tolerance for row sums and sign checks.
@@ -53,33 +51,3 @@ def is_generator(q: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
     except ValueError:
         return False
     return True
-
-
-def embedded_dtmc(q: np.ndarray) -> np.ndarray:
-    """Jump-chain transition matrix of the CTMC with generator ``q``.
-
-    Absorbing states (zero exit rate) become self-loops.
-    """
-    q = validate_generator(q)
-    exit_rates = -np.diag(q)
-    p = np.zeros_like(q)
-    for i in range(q.shape[0]):
-        if exit_rates[i] > 0:
-            p[i] = q[i] / exit_rates[i]
-            p[i, i] = 0.0
-        else:
-            p[i, i] = 1.0
-    return p
-
-
-def uniformization_rate(q: np.ndarray, slack: float = 1.02) -> float:
-    """A uniformization constant ``Lambda >= max_i |q_ii|``.
-
-    ``slack`` > 1 keeps the uniformized DTMC aperiodic even for chains whose
-    jump chain is periodic.
-    """
-    q = validate_generator(q)
-    lam = float(np.max(-np.diag(q)))
-    if lam == 0.0:
-        return 1.0
-    return lam * slack

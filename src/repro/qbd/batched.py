@@ -130,8 +130,10 @@ def solve_qbd_batched(
         try:
             dist = solve_qbd_truncated(qbds[i], fallbacks=rungs)
         except (QBDConvergenceError, ValueError) as exc:
+            # The rung's QBDConvergenceError already logs ``rungs`` first.
+            prior = () if isinstance(exc, QBDConvergenceError) else rungs
             failures[i] = replace(
-                BatchedItemFailure.from_exception(i, "truncated", exc, rungs),
+                BatchedItemFailure.from_exception(i, "truncated", exc, prior),
                 error=original,
             )
         else:

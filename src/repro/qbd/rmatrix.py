@@ -10,7 +10,7 @@ convergent), written once over a leading item axis: ``np.linalg.inv`` and
 soon as it converges.  :func:`r_matrix` is its one-item call.
 
 Items the reduction cannot finish (overflow, a singular step, no
-convergence, a failed minimality certificate) go through one per-item
+convergence, an R with ``sp(R) >= 1``) go through one per-item
 ladder: the drift diagnosis (an unstable QBD raises ``ValueError``), then
 Neuts' functional iteration on R, then the U-based natural iteration on G.
 Both rungs are linearly convergent and monotone, and run under a wall-time
@@ -775,8 +775,8 @@ def batched_r_matrix(
     """Minimal R matrices of ``N`` stacked QBD block triples.
 
     One masked logarithmic reduction solves every item at once.  Items it
-    cannot finish (overflow, singular step, failed minimality
-    certificate, no convergence) go through the per-item ladder: the
+    cannot finish (overflow, singular step, an R with ``sp(R) >= 1``, no
+    convergence) go through the per-item ladder: the
     drift diagnosis, so an unstable item fails with ``ValueError``, then
     functional and natural iteration.  An item the ladder gives up on
     never fails another: its ``R`` slot stays zero and its failure lands
@@ -820,9 +820,8 @@ def batched_r_matrix(
             u = a1[ok] + a0[ok] @ g[ok]
             inv_neg_u, inv_ok = _stack_inv(-u)
             r_ok = a0[ok] @ inv_neg_u
-        # A converged G whose U factor is singular or a failed minimality
-        # certificate sends the item to the ladder rather than failing
-        # the batch.  A significantly negative R entry fails the item
+        # A converged G whose U factor is singular sends the item to the
+        # ladder rather than failing the batch.  A significantly negative R entry fails the item
         # outright: no QBD's minimal R has one, so the blocks are not a
         # QBD's, and a rung would only converge to another root.
         finite = inv_ok & np.isfinite(r_ok).all(axis=(1, 2))
@@ -834,12 +833,12 @@ def batched_r_matrix(
         negative = dict(
             zip(ok[bad_sign].tolist(), r_ok[bad_sign].min(axis=(1, 2)).tolist())
         )
+    # One stacked eigenvalue call gives every item's reported sp(R).  An
+    # accepted R with sp(R) >= 1 is not the minimal solution: under the
+    # contracts the ladder below re-solves the item.
+    radii = np.abs(np.linalg.eigvals(r)).max(axis=1) if n else np.zeros(0)
     if contracts_enabled():
-        for i in np.flatnonzero(~failed):
-            try:
-                check_r_matrix(r[i], f"R[{i}]")
-            except ContractViolation:  # noqa: RL014 -- not dropped: the item goes to the ladder below, which re-solves and re-raises the full diagnostics
-                failed[i] = True
+        failed |= radii >= 1.0
     algorithms = ["logarithmic-reduction"] * n
     abandoned: dict[int, tuple[str, ...]] = {}
     ladder_iterations = np.zeros(n, dtype=int)
@@ -865,10 +864,9 @@ def batched_r_matrix(
             )
     r.setflags(write=False)
     wall_time_ms = (time.perf_counter() - start) * 1e3
-    # One stacked eigenvalue call covers every item's reported sp(R).
-    radii = (
-        np.abs(np.linalg.eigvals(r)).max(axis=1) if n else np.zeros(0)
-    )
+    redone = np.flatnonzero(failed)
+    if redone.size:
+        radii[redone] = np.abs(np.linalg.eigvals(r[redone])).max(axis=1)
     per_item_ms = wall_time_ms / n if n else 0.0
     stats_list = [
         SolveStats(

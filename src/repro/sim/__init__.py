@@ -7,9 +7,6 @@ every analytic metric:
 * :mod:`~repro.sim.fgbg` -- the foreground/background queue simulator.
 * :mod:`~repro.sim.stats` -- time-weighted accumulators and batch-means
   confidence intervals.
-* :mod:`~repro.sim.disk` -- a seek/rotation/transfer disk service-time
-  model (the physical justification for the paper's non-preemptive
-  exponential service assumption).
 """
 
 from repro.sim.engine import EventHandle, Simulator
@@ -17,11 +14,10 @@ from repro.sim.fgbg import FgBgSimulationResult, FgBgSimulator
 from repro.sim.stats import BatchMeans, TimeWeightedAverage, confidence_interval
 
 #: Re-exported on first access (PEP 562), so importing the package for the
-#: FG/BG simulator loads neither the multiclass model nor the disk model.
+#: FG/BG simulator does not load the multiclass model.
 _LAZY = {
     "MulticlassSimulationResult": "repro.sim.multiclass",
     "MulticlassSimulator": "repro.sim.multiclass",
-    "DiskModel": "repro.sim.disk",
 }
 
 __all__ = [
@@ -34,7 +30,6 @@ __all__ = [
     "BatchMeans",
     "TimeWeightedAverage",
     "confidence_interval",
-    "DiskModel",
 ]
 
 

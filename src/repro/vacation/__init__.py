@@ -5,21 +5,14 @@ The paper positions its model against the vacation-model literature
 forms used as sanity baselines and for the related-work comparisons:
 
 * :mod:`~repro.vacation.mm1` -- the plain M/M/1 queue;
-* :mod:`~repro.vacation.multiple_vacations` -- M/G/1-style multiple
-  exponential vacations (decomposition result);
-* :mod:`~repro.vacation.npolicy` -- the N-policy M/M/1 queue;
 * :mod:`~repro.vacation.priority` -- the non-preemptive two-class priority
   queue (Cobham), the strict-priority alternative to idle-wait admission.
 """
 
 from repro.vacation.mm1 import MM1Queue
-from repro.vacation.multiple_vacations import MM1MultipleVacations
-from repro.vacation.npolicy import MM1NPolicy
 from repro.vacation.priority import NonPreemptivePriorityQueue
 
 __all__ = [
     "MM1Queue",
-    "MM1MultipleVacations",
-    "MM1NPolicy",
     "NonPreemptivePriorityQueue",
 ]

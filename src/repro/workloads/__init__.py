@@ -5,7 +5,6 @@
   exponential service process.
 * :mod:`~repro.workloads.comparators` -- the Section 5.4 processes matched
   to the E-mail workload: high-ACF MMPP, low-ACF MMPP, IPP, Poisson.
-* :mod:`~repro.workloads.scaling` -- utilization sweeps.
 * :mod:`~repro.workloads.traces` -- synthetic trace generation and I/O.
 """
 
@@ -22,7 +21,6 @@ from repro.workloads.comparators import (
     COMPARATOR_NAMES,
     dependence_comparators,
 )
-from repro.workloads.scaling import utilization_sweep
 from repro.workloads.traces import (
     generate_trace,
     load_trace,
@@ -40,7 +38,6 @@ __all__ = [
     "user_accounts",
     "COMPARATOR_NAMES",
     "dependence_comparators",
-    "utilization_sweep",
     "generate_trace",
     "load_trace",
     "save_trace",

@@ -22,7 +22,7 @@ from repro.engine import (
 from repro.experiments.sweeps import sweep, utilization_axis
 from repro.processes import PoissonProcess
 from repro.qbd.rmatrix import QBDConvergenceError
-from repro.workloads.paper import SERVICE_RATE_PER_MS as MU
+from repro.workloads.paper import SERVICE_RATE_PER_MS as MU, email
 
 from .conftest import UTILIZATIONS
 
@@ -167,6 +167,25 @@ class TestEngineIsolation:
         assert engine.stats.degraded_solves == 1
         np.testing.assert_allclose(
             [s.fg_response_time for s in solutions], reference, rtol=1e-6
+        )
+
+    def test_failed_escalation_logs_each_rung_once(self, monkeypatch):
+        # As in test_exhausted_ladder_raises_with_attempt_log, the ladder
+        # is exhausted; the E-mail chain at this load also decays too
+        # slowly for the truncated dense rung.
+        monkeypatch.setenv("REPRO_SOLVER_BUDGET_MS", "1")
+        model = FgBgModel(
+            arrival=email(), service_rate=MU, bg_probability=0.3
+        ).at_utilization(0.55)
+        engine = SweepEngine(EngineConfig(on_error="collect", escalate=True))
+        with faults.inject("logred_overflow"):
+            assert engine.solve(model) is None
+        (failure,) = engine.stats.failures
+        assert failure.attempts == (
+            "logarithmic-reduction",
+            "functional",
+            "natural",
+            "truncated-dense",
         )
 
 

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.markov import (
-    embedded_dtmc,
-    is_generator,
-    uniformization_rate,
-    validate_generator,
-)
+from repro.markov import is_generator, validate_generator
 
 VALID = np.array([[-2.0, 2.0], [3.0, -3.0]])
 
@@ -61,32 +56,3 @@ class TestIsGenerator:
 
     def test_false_for_invalid(self):
         assert not is_generator(np.array([[1.0, -1.0], [0.0, 0.0]]))
-
-
-class TestEmbeddedDtmc:
-    def test_rows_are_stochastic(self):
-        p = embedded_dtmc(VALID)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0)
-
-    def test_two_state_jump_chain_alternates(self):
-        p = embedded_dtmc(VALID)
-        expected = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(p, expected)
-
-    def test_absorbing_state_becomes_self_loop(self):
-        q = np.array([[-1.0, 1.0], [0.0, 0.0]])
-        p = embedded_dtmc(q)
-        assert p[1, 1] == 1.0
-
-    def test_three_state_proportional_split(self):
-        q = np.array([[-3.0, 1.0, 2.0], [1.0, -1.0, 0.0], [4.0, 0.0, -4.0]])
-        p = embedded_dtmc(q)
-        np.testing.assert_allclose(p[0], [0.0, 1.0 / 3.0, 2.0 / 3.0])
-
-
-class TestUniformizationRate:
-    def test_exceeds_max_exit_rate(self):
-        assert uniformization_rate(VALID) >= 3.0
-
-    def test_zero_generator(self):
-        assert uniformization_rate(np.zeros((2, 2))) == 1.0

@@ -8,7 +8,6 @@ from repro.markov import (
     stationary_distribution_dense,
     stationary_distribution_gth,
 )
-from repro.markov.birth_death import birth_death_generator
 
 TWO_STATE = np.array([[-2.0, 2.0], [3.0, -3.0]])
 TWO_STATE_PI = np.array([0.6, 0.4])
@@ -23,7 +22,9 @@ class TestAllSolvers:
         np.testing.assert_allclose(solver(TWO_STATE), TWO_STATE_PI, atol=1e-12)
 
     def test_result_is_distribution(self, solver):
-        q = birth_death_generator([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
+        # Birth-death chain: births 1, 2, 3 and deaths 2, 2, 2.
+        q = np.diag([1.0, 2.0, 3.0], 1) + np.diag([2.0, 2.0, 2.0], -1)
+        np.fill_diagonal(q, -q.sum(axis=1))
         pi = solver(q)
         assert np.all(pi >= 0)
         np.testing.assert_allclose(pi.sum(), 1.0, atol=1e-12)

@@ -1,8 +1,25 @@
 """Tests for the top-level package surface."""
 
+import importlib
+
 import pytest
 
 import repro
+
+SUBPACKAGES = [
+    "processes",
+    "markov",
+    "qbd",
+    "core",
+    "contracts",
+    "engine",
+    "faults",
+    "jobs",
+    "sim",
+    "vacation",
+    "workloads",
+    "experiments",
+]
 
 
 class TestLazyExports:
@@ -25,25 +42,17 @@ class TestLazyExports:
     def test_classes_reachable(self, name):
         assert getattr(repro, name) is not None
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "processes",
-            "markov",
-            "qbd",
-            "core",
-            "engine",
-            "faults",
-            "jobs",
-            "sim",
-            "vacation",
-            "workloads",
-            "experiments",
-        ],
-    )
+    @pytest.mark.parametrize("name", SUBPACKAGES)
     def test_subpackages_reachable(self, name):
         module = getattr(repro, name)
         assert module.__name__ == f"repro.{name}"
+
+    @pytest.mark.parametrize("name", SUBPACKAGES)
+    def test_every_reexport_resolves(self, name):
+        # Lazy (PEP 562) entries fail only on access, so touch them all.
+        module = importlib.import_module(f"repro.{name}")
+        for export in module.__all__:
+            getattr(module, export)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import FgBgModel
 from repro.processes import PoissonProcess
-from repro.vacation import MM1MultipleVacations, MM1NPolicy, MM1Queue
+from repro.vacation import MM1Queue
 
 
 class TestMM1:
@@ -51,60 +51,19 @@ class TestMM1:
 
 
 class TestMultipleVacations:
-    def test_reduces_to_mm1_as_vacations_vanish(self):
-        base = MM1Queue(lam=0.5, mu=1.0)
-        vac = MM1MultipleVacations(lam=0.5, mu=1.0, vacation_rate=1e9)
-        assert vac.mean_waiting_time == pytest.approx(base.mean_waiting_time, abs=1e-6)
-
-    def test_decomposition_adds_mean_vacation(self):
-        base = MM1Queue(lam=0.5, mu=1.0)
-        vac = MM1MultipleVacations(lam=0.5, mu=1.0, vacation_rate=0.25)
-        assert vac.mean_waiting_time == pytest.approx(base.mean_waiting_time + 4.0)
-
-    def test_little_law(self):
-        vac = MM1MultipleVacations(lam=0.3, mu=1.0, vacation_rate=0.5)
-        assert vac.mean_queue_length == pytest.approx(vac.lam * vac.mean_response_time)
-
-    def test_unstable_rejected(self):
-        with pytest.raises(ValueError, match="unstable"):
-            MM1MultipleVacations(lam=1.0, mu=1.0, vacation_rate=1.0)
-
     def test_upper_bounds_fgbg_model_under_saturation(self):
         # With p = 1, an always-full background buffer and idle wait equal
         # to one mean vacation, the FG/BG system resembles (but is less
         # punishing than) a multiple-vacation queue: vacations end early
         # when FG work arrives mid-service only in the vacation model's
-        # favour.  The decomposition bound should dominate the FG delay.
+        # favour.  The decomposition bound should dominate the FG delay:
+        # with exponential vacations of rate v, the vacation queue waits
+        # the M/M/1 waiting time plus one mean vacation 1/v.
         lam, mu = 0.08, 1 / 6.0
-        vac = MM1MultipleVacations(lam=lam, mu=mu, vacation_rate=mu)
+        vacation_rate = mu
+        wait = MM1Queue(lam=lam, mu=mu).mean_waiting_time + 1.0 / vacation_rate
+        bound = lam * (wait + 1.0 / mu)  # Little's law
         s = FgBgModel(
             arrival=PoissonProcess(lam), service_rate=mu, bg_probability=1.0
         ).solve()
-        assert s.fg_queue_length < vac.mean_queue_length
-
-
-class TestNPolicy:
-    def test_threshold_one_is_mm1(self):
-        base = MM1Queue(lam=0.5, mu=1.0)
-        np1 = MM1NPolicy(lam=0.5, mu=1.0, threshold=1)
-        assert np1.mean_waiting_time == pytest.approx(base.mean_waiting_time)
-
-    def test_waiting_grows_linearly_in_threshold(self):
-        lam = 0.5
-        w = [
-            MM1NPolicy(lam=lam, mu=1.0, threshold=n).mean_waiting_time
-            for n in (1, 2, 3, 4)
-        ]
-        diffs = np.diff(w)
-        np.testing.assert_allclose(diffs, 1.0 / (2 * lam), rtol=1e-12)
-
-    def test_sleep_fraction(self):
-        assert MM1NPolicy(lam=0.3, mu=1.0, threshold=5).server_sleep_fraction == pytest.approx(0.7)
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError, match="threshold"):
-            MM1NPolicy(lam=0.3, mu=1.0, threshold=0)
-
-    def test_little_law(self):
-        q = MM1NPolicy(lam=0.3, mu=1.0, threshold=3)
-        assert q.mean_queue_length == pytest.approx(q.lam * q.mean_response_time)
+        assert s.fg_queue_length < bound

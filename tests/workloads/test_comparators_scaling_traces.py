@@ -1,4 +1,4 @@
-"""Tests for the Section 5.4 comparators, sweeps, and trace I/O."""
+"""Tests for the Section 5.4 comparators and trace I/O."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,12 @@ import pytest
 from repro.processes import InterruptedPoissonProcess, PoissonProcess
 from repro.workloads import (
     COMPARATOR_NAMES,
-    SERVICE_RATE_PER_MS,
     dependence_comparators,
     email,
     generate_trace,
     load_trace,
     save_trace,
     trace_summary,
-    utilization_sweep,
 )
 
 
@@ -50,26 +48,6 @@ class TestComparators:
     def test_unknown_reference(self):
         with pytest.raises(ValueError, match="unknown workload"):
             dependence_comparators("payroll")
-
-
-class TestUtilizationSweep:
-    def test_yields_rescaled_processes(self):
-        pairs = list(
-            utilization_sweep(email(), [0.1, 0.5], SERVICE_RATE_PER_MS)
-        )
-        assert len(pairs) == 2
-        for util, proc in pairs:
-            assert proc.mean_rate == pytest.approx(util * SERVICE_RATE_PER_MS, rel=1e-9)
-
-    def test_preserves_acf(self):
-        (_, proc), = utilization_sweep(email(), [0.4], SERVICE_RATE_PER_MS)
-        np.testing.assert_allclose(proc.acf(20), email().acf(20), atol=1e-10)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="service_rate"):
-            list(utilization_sweep(email(), [0.5], 0.0))
-        with pytest.raises(ValueError, match="positive"):
-            list(utilization_sweep(email(), [-0.5], 1.0))
 
 
 class TestTraces:
