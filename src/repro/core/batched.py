@@ -2,14 +2,16 @@
 
 :func:`solve_models_batched` solves many :class:`~repro.core.model.FgBgModel`
 instances through :func:`repro.qbd.batched.solve_qbd_batched`: models are
-grouped by QBD block structure, i.e. block sizes and boundary levels
-(models with ``bg_probability`` below ``NEAR_ZERO_BG_PROBABILITY`` build
-their chain without background states and therefore land in their own
-group), each group runs as one stacked solve, and the per-model metrics
-come out of :func:`~repro.core.metrics.compute_metrics`.
-``model.solve()`` is the one-item call, so the two agree exactly
-(including the deliberate NaN ``bg_completion_rate`` of the near-zero-``p``
-group).
+grouped by chain structure, the effective buffer size, MAP order and BG
+mode read off the model fields (models with ``bg_probability`` below
+``NEAR_ZERO_BG_PROBABILITY`` build their chain without background states
+and therefore land in their own group); each group's blocks are built as
+one stack (:func:`repro.core.blocks.build_qbd`), with no per-model
+:class:`~repro.qbd.structure.QBDProcess`, and solved as one stacked
+solve; the per-model metrics come out of
+:func:`~repro.core.metrics.compute_metrics`.  ``model.solve()`` is the
+one-item call, so the two agree exactly (including the deliberate NaN
+``bg_completion_rate`` of the near-zero-``p`` group).
 
 A failed item never sinks its group: its solution slot is ``None``, its
 failure is reported (with its index remapped to the *input* model order)
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import replace
 
+from repro.core.blocks import BgServiceMode, build_qbd
 from repro.core.metrics import compute_metrics
 from repro.core.model import FgBgModel
 from repro.core.result import FgBgSolution
@@ -86,19 +89,24 @@ def solve_models_batched(
                     "exists"
                 ),
             )
-    groups: dict[tuple[int, int, tuple[int, ...]], list[int]] = {}
+    groups: dict[tuple[int, int, BgServiceMode], list[int]] = {}
     for index, model in enumerate(models):
-        if index in failures:
-            continue
-        qbd = model.qbd
-        shape = (qbd.boundary_size, qbd.phase_count, qbd.boundary_levels)
-        groups.setdefault(shape, []).append(index)
+        if index not in failures:
+            key = (model._effective_bg_buffer, model.arrival.order, model.bg_mode)
+            groups.setdefault(key, []).append(index)
     solutions: list[FgBgSolution | None] = [None] * len(models)
     reports: list[BatchedSolveReport] = []
-    for indices in groups.values():
-        distributions, report = solve_qbd_batched(
-            [models[i].qbd for i in indices], escalate=escalate
+    for (bg_buffer, _, bg_mode), indices in groups.items():
+        group = [models[i] for i in indices]
+        stack, space = build_qbd(
+            [model.arrival for model in group],
+            [model.service_rate for model in group],
+            [model.bg_probability for model in group],
+            bg_buffer,
+            [model.effective_idle_wait_rate for model in group],
+            bg_mode,
         )
+        distributions, report = solve_qbd_batched(stack, escalate=escalate)
         # Group-local failure indices -> input model order.
         group_failures = tuple(
             replace(f, index=indices[f.index]) for f in report.failures
@@ -109,7 +117,7 @@ def solve_models_batched(
                 continue
             model = models[i]
             solutions[i] = compute_metrics(
-                space=model.state_space,
+                space=space,
                 qbd_solution=distribution,
                 arrival=model.arrival,
                 service_rate=model.service_rate,

@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro._types import ArrayLike
 from repro.core.states import StateKind, StateSpace
 from repro.processes.map_process import MarkovianArrivalProcess
-from repro.qbd.structure import QBDProcess
+from repro.qbd.structure import QBDStack, _band_layout
 
 __all__ = ["BgServiceMode", "build_qbd"]
 
@@ -56,62 +58,76 @@ class BgServiceMode(enum.Enum):
 
 
 def build_qbd(
-    arrival: MarkovianArrivalProcess,
-    service_rate: float,
-    bg_probability: float,
+    arrivals: Sequence[MarkovianArrivalProcess],
+    service_rates: ArrayLike,
+    bg_probabilities: ArrayLike,
     bg_buffer: int,
-    idle_wait_rate: float,
+    idle_wait_rates: ArrayLike,
     bg_mode: BgServiceMode = BgServiceMode.BACK_TO_BACK,
-) -> tuple[QBDProcess, StateSpace]:
-    """Assemble the QBD blocks of the FG/BG chain.
+) -> tuple[QBDStack, StateSpace]:
+    """Assemble the QBD blocks of ``N`` FG/BG chains of one structure.
 
-    Returns the validated :class:`~repro.qbd.structure.QBDProcess` together
-    with the :class:`~repro.core.states.StateSpace` that indexes it (shared
-    by every model with the same buffer size, MAP order and BG mode).
+    Item ``i`` has arrival MAP ``arrivals[i]`` and rates
+    ``service_rates[i]``, ``bg_probabilities[i]`` and
+    ``idle_wait_rates[i]``; every item shares the buffer size, the MAP
+    order and the BG mode.  Returns the validated
+    :class:`~repro.qbd.structure.QBDStack` together with the
+    :class:`~repro.core.states.StateSpace` that indexes it (shared by
+    every model with the same buffer size, MAP order and BG mode).
+    ``stack.process(i)`` is item ``i``'s
+    :class:`~repro.qbd.structure.QBDProcess`.
     """
-    if service_rate <= 0:
-        raise ValueError(f"service_rate must be positive, got {service_rate}")
-    if not 0 <= bg_probability <= 1:
-        raise ValueError(f"bg_probability must lie in [0, 1], got {bg_probability}")
-    if idle_wait_rate <= 0:
-        raise ValueError(f"idle_wait_rate must be positive, got {idle_wait_rate}")
+    mu = np.asarray(service_rates, dtype=float)
+    p = np.asarray(bg_probabilities, dtype=float)
+    alpha = np.asarray(idle_wait_rates, dtype=float)
+    for name, values, bad in (
+        ("service_rate must be positive", mu, mu <= 0),
+        ("bg_probability must lie in [0, 1]", p, ~((p >= 0) & (p <= 1))),
+        ("idle_wait_rate must be positive", alpha, alpha <= 0),
+    ):
+        if bad.any():
+            raise ValueError(f"{name}, got {values[np.argmax(bad)]}")
     if not isinstance(bg_mode, BgServiceMode):
         raise TypeError(f"bg_mode must be a BgServiceMode, got {bg_mode!r}")
+    n = len(arrivals)
+    if not n == mu.size == p.size == alpha.size:
+        raise ValueError("build_qbd needs one rate and probability per arrival MAP")
+    order = arrivals[0].order
+    if any(arrival.order != order for arrival in arrivals):
+        raise ValueError("build_qbd needs arrival MAPs of one order")
 
-    pattern = _block_pattern(bg_buffer, arrival.order, bg_mode)
+    pattern = _block_pattern(bg_buffer, order, bg_mode)
     space = pattern.space
-    d0, d1 = arrival.d0, arrival.d1
-    eye = np.eye(arrival.order)
-    mu = float(service_rate)
-    p = float(bg_probability)
-    alpha = float(idle_wait_rate)
+    d0 = np.stack([arrival.d0 for arrival in arrivals])
+    d1 = np.stack([arrival.d1 for arrival in arrivals])
+    eye = np.eye(order)
     # Each value is written as if added onto a zero block (``0.0 + x`` also
     # turns -0.0 into 0.0), the way a group-by-group assembly accumulates
     # it, so the scattered blocks are bit-identical to that assembly.
-    values: dict[str, np.ndarray | float] = {
+    values = {
         "d0": 0.0 + d0,
-        "d0-alpha": (0.0 + d0) - alpha * eye,
-        "d0-mu": (0.0 + d0) - mu * eye,
+        "d0-alpha": (0.0 + d0) - alpha[:, None, None] * eye,
+        "d0-mu": (0.0 + d0) - mu[:, None, None] * eye,
         "d1": 0.0 + d1,
         "mu": 0.0 + mu,
         "mu(1-p)": 0.0 + mu * (1 - p),
         "mu*p": 0.0 + mu * p,
         "alpha": 0.0 + alpha,
     }
-    n_b = space.boundary_state_count
-    m = space.repeating_state_count
     m_g = space.repeating_group_count
+    m = m_g * order
+    # np.kron treats the identity as (1, m_g, m_g): one kron per item.
     a0 = np.kron(np.eye(m_g), d1)
-    qbd = QBDProcess(
-        b00=_scatter((n_b, n_b), pattern.b00, values),
-        b01=_scatter((n_b, m), pattern.b01, values),
-        b10=_scatter((m, n_b), pattern.b10, values),
+    stack = QBDStack(
         a0=a0,
-        a1=_scatter((m, m), pattern.a1, values),
-        a2=_scatter((m, m), pattern.a2, values),
+        a1=_scatter((n, m, m), pattern.a1, values),
+        a2=_scatter((n, m, m), pattern.a2, values),
+        band=_scatter((n, pattern.band_size), pattern.band, values),
+        b01=_scatter((n, pattern.last_level, m), pattern.b01, values),
+        b10=_scatter((n, m, pattern.last_level), pattern.b10, values),
         boundary_levels=pattern.boundary_levels,
     )
-    return qbd, space
+    return stack, space
 
 
 #: Per block, ``(term, flat indices)`` pairs: a full ``A x A`` term scatters
@@ -121,11 +137,14 @@ _Scatter = tuple[tuple[str, np.ndarray], ...]
 
 
 def _scatter(
-    shape: tuple[int, int], entries: _Scatter, values: dict[str, np.ndarray | float]
+    shape: tuple[int, ...], entries: _Scatter, values: dict[str, np.ndarray]
 ) -> np.ndarray:
-    out = np.zeros(shape[0] * shape[1])
+    """One block stack: each term's per-item values at its indices."""
+    out = np.zeros((shape[0], int(np.prod(shape[1:]))))
     for term, index in entries:
-        out[index] = values[term]
+        value = values[term]
+        # A matrix term repeats per group, a rate per group and phase.
+        out[:, index] = value[:, None] if value.ndim == 3 else value[:, None, None]
     return out.reshape(shape)
 
 
@@ -135,7 +154,10 @@ class _BlockPattern:
 
     space: StateSpace
     boundary_levels: tuple[int, ...]
-    b00: _Scatter
+    #: Sizes of the ``B00`` band and of the last boundary level.
+    band_size: int
+    last_level: int
+    band: _Scatter
     b01: _Scatter
     b10: _Scatter
     a1: _Scatter
@@ -228,6 +250,19 @@ def _block_pattern(
 
     n_b = space.boundary_state_count
     m = space.repeating_state_count
+    levels = tuple((2 * j + 1) * phases for j in range(x_max + 1))
+    last = n_b - levels[-1]
+    layout = _band_layout(levels)
+    # Flat index into the dense block -> into the stacked layout: B00's
+    # band (checked once here, per pattern), and the last boundary level's
+    # rows of B01 and columns of B10, outside which both must be zero.
+    to_stack = {
+        "b00": layout.band_index,
+        "b01": lambda index: _last_level_index(index, m, last, rows=True),
+        "b10": lambda index: _last_level_index(index, n_b, last, rows=False),
+        "a1": lambda index: index,
+        "a2": lambda index: index,
+    }
     widths = {"b00": n_b, "b01": m, "b10": n_b, "a1": m, "a2": m}
     full = np.arange(phases)
     scatters: dict[str, _Scatter] = {}
@@ -241,15 +276,33 @@ def _block_pattern(
                 )
             else:  # a rate times the identity
                 index = (rows[:, None] + full) * widths[block] + cols[:, None] + full
+            index = to_stack[block](index)
             index.setflags(write=False)
             entries.append((term, index))
         scatters[block] = tuple(entries)
     return _BlockPattern(
         space=space,
-        boundary_levels=tuple((2 * j + 1) * phases for j in range(x_max + 1)),
-        b00=scatters["b00"],
+        boundary_levels=levels,
+        band_size=layout.size,
+        last_level=levels[-1],
+        band=scatters["b00"],
         b01=scatters["b01"],
         b10=scatters["b10"],
         a1=scatters["a1"],
         a2=scatters["a2"],
     )
+
+
+def _last_level_index(
+    index: np.ndarray, width: int, last: int, rows: bool
+) -> np.ndarray:
+    """Flat ``B01`` (``rows``) or ``B10`` index -> index into the block's
+    last-boundary-level part, with the support check of ``QBDProcess``."""
+    row, col = np.divmod(index, width)
+    if rows:
+        if (row < last).any():
+            raise ValueError("b01 must be zero outside the last boundary level's rows")
+        return (row - last) * width + col
+    if (col < last).any():
+        raise ValueError("b10 must be zero outside the last boundary level's columns")
+    return row * (width - last) + col - last

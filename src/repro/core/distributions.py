@@ -30,8 +30,8 @@ def _space_of(qbd_solution: QBDStationaryDistribution) -> StateSpace:
     The boundary has ``(X+1)^2 * A`` states and a repeating level
     ``(2X+1) * A``; the pair determines ``(X, A)`` uniquely.
     """
-    n_b = qbd_solution.qbd.boundary_size
-    m = qbd_solution.qbd.phase_count
+    n_b = qbd_solution.boundary.size
+    m = qbd_solution.r.shape[0]
     for x in range(0, 4096):
         if (x + 1) ** 2 * m == (2 * x + 1) * n_b:
             phases = m // (2 * x + 1)

@@ -32,7 +32,7 @@ from repro.contracts.checks import (
     check_readonly,
     contracts_enabled,
 )
-from repro.core.blocks import BgServiceMode, build_qbd
+from repro.core.blocks import BgServiceMode, _block_pattern, build_qbd
 from repro.core.metrics import NEAR_ZERO_BG_PROBABILITY
 from repro.core.result import FgBgSolution
 from repro.core.states import StateSpace
@@ -144,25 +144,25 @@ class FgBgModel:
         return 0 if self.bg_probability < self._NEAR_ZERO_P else self.bg_buffer
 
     @cached_property
-    def _qbd_and_space(self) -> tuple[QBDProcess, StateSpace]:
-        return build_qbd(
-            arrival=self.arrival,
-            service_rate=self.service_rate,
-            bg_probability=self.bg_probability,
-            bg_buffer=self._effective_bg_buffer,
-            idle_wait_rate=self.effective_idle_wait_rate,
-            bg_mode=self.bg_mode,
-        )
-
-    @property
     def qbd(self) -> QBDProcess:
         """The assembled QBD blocks (for inspection or custom solvers)."""
-        return self._qbd_and_space[0]
+        stack, _ = build_qbd(
+            [self.arrival],
+            [self.service_rate],
+            [self.bg_probability],
+            self._effective_bg_buffer,
+            [self.effective_idle_wait_rate],
+            self.bg_mode,
+        )
+        return stack.process(0)
 
     @property
     def state_space(self) -> StateSpace:
-        """The state-space indexing of the chain."""
-        return self._qbd_and_space[1]
+        """The state-space indexing of the chain (shared by every model of
+        its structure; building it builds no blocks)."""
+        return _block_pattern(
+            self._effective_bg_buffer, self.arrival.order, self.bg_mode
+        ).space
 
     # ------------------------------------------------------------------
     # Solving

@@ -33,7 +33,7 @@ __all__ = ["CACHE_FORMAT", "SolveCache", "solve_key"]
 #: (e.g. :class:`~repro.qbd.rmatrix.SolveStats`) changes shape: entries of
 #: older layouts then become unreachable misses that are re-solved, so no
 #: unpickling shim is ever needed.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 #: Suffix quarantined files get: corrupt entries become
 #: ``<key>.pkl.corrupt``, orphaned temp files ``<name>.orphan``.  Neither

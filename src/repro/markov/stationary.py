@@ -17,13 +17,17 @@ __all__ = [
     "stationary_distribution",
     "stationary_distribution_dense",
     "stationary_distribution_gth",
+    "stationary_of_validated",
 ]
 
 
 def stationary_distribution_dense(q: np.ndarray) -> np.ndarray:
     """Solve ``pi Q = 0, pi e = 1`` by replacing one balance equation with
     the normalization condition."""
-    q = validate_generator(q)
+    return _dense(validate_generator(q))
+
+
+def _dense(q: np.ndarray) -> np.ndarray:
     n = q.shape[0]
     a = q.T.copy()
     a[-1, :] = 1.0
@@ -39,7 +43,10 @@ def stationary_distribution_gth(q: np.ndarray) -> np.ndarray:
     Subtraction-free state elimination followed by back-substitution;
     accurate to machine precision regardless of rate scales, at O(n^3).
     """
-    q = validate_generator(q)
+    return _gth(validate_generator(q))
+
+
+def _gth(q: np.ndarray) -> np.ndarray:
     n = q.shape[0]
     a = q.astype(float).copy()
     # Forward elimination of states n-1, n-2, ..., 1.
@@ -77,17 +84,26 @@ def stationary_distribution(q: np.ndarray, method: str = "auto") -> np.ndarray:
         return stationary_distribution_gth(q)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}; use 'dense', 'gth' or 'auto'")
-    q = validate_generator(q)
+    return stationary_of_validated(validate_generator(q))
+
+
+def stationary_of_validated(q: np.ndarray) -> np.ndarray:
+    """The ``"auto"`` solve of a float generator that already passed
+    :func:`validate_generator`, without checking it again.
+
+    A MAP certified at construction solves its phase process here, so a
+    sweep of scaled copies does not re-validate one generator per point.
+    """
     if q.shape[0] <= 256:
-        return stationary_distribution_gth(q)
+        return _gth(q)
     try:
-        pi = stationary_distribution_dense(q)
+        pi = _dense(q)
     except np.linalg.LinAlgError:
-        return stationary_distribution_gth(q)
+        return _gth(q)
     residual = float(np.max(np.abs(pi @ q)))
     scale = max(float(np.max(np.abs(np.diag(q)))), 1.0)
     if residual > 1e-8 * scale:
-        return stationary_distribution_gth(q)
+        return _gth(q)
     return pi
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.markov.generator import validate_generator
-from repro.markov.stationary import stationary_distribution
+from repro.markov.stationary import stationary_distribution, stationary_of_validated
 
 __all__ = ["MarkovianArrivalProcess"]
 
@@ -106,6 +106,8 @@ class MarkovianArrivalProcess:
     @cached_property
     def phase_stationary(self) -> np.ndarray:
         """Stationary distribution ``pi`` of the phase process (time average)."""
+        if self._certified():
+            return stationary_of_validated(self.generator)
         return stationary_distribution(self.generator)
 
     @cached_property
@@ -222,7 +224,33 @@ class MarkovianArrivalProcess:
         """
         if factor <= 0:
             raise ValueError(f"scale factor must be positive, got {factor}")
-        return type(self)._from_matrices(self._d0 * factor, self._d1 * factor)
+        d0, d1 = self._d0 * factor, self._d1 * factor
+        if type(self) is MarkovianArrivalProcess and self._certified():
+            # A positive multiple of a valid MAP is a valid MAP: carry the
+            # certificate instead of re-validating (same matrices as the
+            # constructor would store).
+            copy = object.__new__(MarkovianArrivalProcess)
+            copy._adopt_validated(d0, d1)
+            return copy
+        return type(self)._from_matrices(d0, d1)
+
+    def _certified(self) -> bool:
+        """Does this instance carry the construction certificate over
+        read-only matrices?"""
+        return (
+            getattr(self, "_generator_validated", False)
+            and not self._d0.flags.writeable
+            and not self._d1.flags.writeable
+        )
+
+    def _adopt_validated(self, d0: np.ndarray, d1: np.ndarray) -> None:
+        """Store matrices derived from a certified MAP by an operation that
+        keeps ``D0 + D1`` a generator: freeze them and carry the
+        certificate, as the constructor does after its checks."""
+        _freeze(d0, d1)
+        self._d0 = d0
+        self._d1 = d1
+        self._generator_validated = True
 
     def scaled_to_rate(self, rate: float) -> "MarkovianArrivalProcess":
         """Return a copy rescaled to the given mean arrival rate."""

@@ -75,6 +75,25 @@ class MMPP(MarkovianArrivalProcess):
     def _from_matrices(cls, d0: np.ndarray, d1: np.ndarray) -> "MMPP":
         return cls.from_map_matrices(d0, d1)
 
+    def scaled_by(self, factor: float) -> "MarkovianArrivalProcess":
+        """Time-rescaled copy; a certified MMPP's copy is certified too.
+
+        The copy holds exactly the matrices :meth:`from_map_matrices`
+        builds from the scaled pair, without its checks: scaling by a
+        positive factor keeps a valid MMPP valid.
+        """
+        if factor <= 0 or type(self) is not MMPP or not self._certified():
+            return super().scaled_by(factor)
+        scaled_d1 = self._d1 * factor
+        generator = self._d0 * factor + scaled_d1
+        rates = np.diag(scaled_d1).copy()
+        d1 = np.diag(rates)
+        copy = object.__new__(MMPP)
+        copy._adopt_validated(generator - d1, d1)
+        copy._modulating_generator = generator
+        copy._arrival_rates = rates
+        return copy
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

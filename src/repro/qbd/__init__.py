@@ -13,7 +13,8 @@ boundary::
 The stationary vector satisfies ``pi_k = pi_1 R^{k-1}`` for ``k >= 1`` where
 ``R`` is the minimal non-negative solution of
 ``A0 + R A1 + R^2 A2 = 0`` (Neuts; Latouche & Ramaswami).  This package
-implements the structure (:mod:`~repro.qbd.structure`), the R matrix by
+implements the structure (:mod:`~repro.qbd.structure`: one QBD, or a stack
+of QBDs of one block structure), the R matrix by
 logarithmic reduction over a stack of QBDs with a per-item ladder of
 linear iterations (:mod:`~repro.qbd.rmatrix`), the boundary solve
 (:mod:`~repro.qbd.boundary`), the stacked end-to-end pipeline
@@ -21,7 +22,7 @@ linear iterations (:mod:`~repro.qbd.rmatrix`), the boundary solve
 closed-form level sums (:mod:`~repro.qbd.stationary`).
 """
 
-from repro.qbd.structure import QBDProcess
+from repro.qbd.structure import QBDProcess, QBDStack
 from repro.qbd.rmatrix import (
     BatchedSolveReport,
     SolveStats,
@@ -42,6 +43,7 @@ from repro.qbd.stationary import QBDStationaryDistribution, solve_qbd
 __all__ = [
     "BatchedSolveReport",
     "QBDProcess",
+    "QBDStack",
     "SolveStats",
     "drift",
     "is_stable",

@@ -1,10 +1,10 @@
 """Batched matrix-geometric kernel: many same-shape QBDs in one solve.
 
 Every figure of the paper is a *sweep*: 40+ nearby models with identical
-block shapes.  :func:`solve_qbd_batched` stacks ``N`` of them along a
-leading axis and runs the whole pipeline with batched ``np.linalg``
-primitives, so the per-point Python overhead is paid once per *batch*
-instead of once per *point*:
+block shapes.  :func:`solve_qbd_batched` takes ``N`` of them as one
+:class:`~repro.qbd.structure.QBDStack` and runs the whole pipeline with
+batched ``np.linalg`` primitives, so the per-point Python overhead is paid
+once per *batch* instead of once per *point*:
 
 * the **R stage** -- :func:`repro.qbd.rmatrix.batched_r_matrix`: one
   masked logarithmic reduction, and a per-item escalation ladder for the
@@ -29,7 +29,6 @@ calls, the sweep engine in ``"raise"`` mode) pick it up from there with
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +43,7 @@ from repro.qbd.rmatrix import (
     batched_r_matrix,
 )
 from repro.qbd.stationary import QBDStationaryDistribution
-from repro.qbd.structure import QBDProcess
+from repro.qbd.structure import QBDStack
 from repro.qbd.truncated import solve_qbd_truncated
 
 __all__ = [
@@ -56,24 +55,21 @@ __all__ = [
 
 
 def solve_qbd_batched(
-    qbds: Iterable[QBDProcess], escalate: bool = False
+    stack: QBDStack, escalate: bool = False
 ) -> tuple[list[QBDStationaryDistribution | None], BatchedSolveReport]:
-    """Solve ``N`` same-shape QBDs end to end in one stacked pipeline.
+    """Solve the ``N`` QBDs of a stack end to end in one stacked pipeline.
 
     :func:`repro.qbd.stationary.solve_qbd` is its one-item call.  Stacked
     R matrices (:func:`batched_r_matrix`), the stacked boundary
     solve (:func:`repro.qbd.boundary.solve_boundaries`), and the
     ``(I-R)^{-1}`` level sums of *all* items extracted with two batched
     linear solves, seeded into the returned per-item distributions.
-    Mixed-structure inputs are rejected -- group by ``(boundary_size,
-    phase_count, boundary_levels)`` first
-    (:func:`repro.core.batched.solve_models_batched` does).
 
     Parameters
     ----------
-    qbds:
-        Non-empty sequence of :class:`~repro.qbd.structure.QBDProcess`
-        instances sharing one block structure.
+    stack:
+        The QBDs, one block structure (``QBDStack.of(qbds)`` stacks
+        :class:`~repro.qbd.structure.QBDProcess` instances).
     escalate:
         Per item that the matrix-geometric pipeline gives up on, try the
         truncated dense-chain rung
@@ -86,36 +82,22 @@ def solve_qbd_batched(
     Returns
     -------
     ``(distributions, report)``: one
-    :class:`~repro.qbd.stationary.QBDStationaryDistribution` per input,
+    :class:`~repro.qbd.stationary.QBDStationaryDistribution` per item,
     each carrying its per-item :class:`~repro.qbd.rmatrix.SolveStats`,
     and the group's :class:`BatchedSolveReport`.  A failed item's slot
     is ``None`` and its failure is in ``report.failures``; every other
     item solves normally.  Only input errors and a violated mass
-    contract raise.
+    contract raise.  A distribution builds its item's
+    :class:`~repro.qbd.structure.QBDProcess` only when its ``qbd`` is
+    read.
     """
-    qbds = list(qbds)
-    if not qbds:
-        raise ValueError("solve_qbd_batched needs at least one QBD")
-    for q in qbds:
-        if not isinstance(q, QBDProcess):
-            raise TypeError(
-                f"expected QBDProcess instances, got {type(q).__name__}"
-            )
-    shapes = {(q.boundary_size, q.phase_count, q.boundary_levels) for q in qbds}
-    if len(shapes) > 1:
-        raise ValueError(
-            f"mixed block shapes {sorted(shapes)}; group same-shape QBDs "
-            "before calling solve_qbd_batched"
-        )
-    n, m = len(qbds), qbds[0].phase_count
-    n_b = qbds[0].boundary_size
-    # QBDProcess.__post_init__ validated the row split and froze every
-    # block, so the stacked precondition is certified.
+    if not isinstance(stack, QBDStack):
+        raise TypeError(f"expected a QBDStack, got {type(stack).__name__}")
+    n, n_b, m = stack.size, stack.boundary_size, stack.phase_count
+    # QBDStack validated the row split and froze every block, so the
+    # stacked precondition is certified.
     r, stats_list, report = batched_r_matrix(
-        np.stack([q.a0 for q in qbds]),
-        np.stack([q.a1 for q in qbds]),
-        np.stack([q.a2 for q in qbds]),
-        blocks_validated=True,
+        stack.a0, stack.a1, stack.a2, blocks_validated=True
     )
     failures: dict[int, BatchedItemFailure] = {
         f.index: f for f in report.failures
@@ -128,7 +110,7 @@ def solve_qbd_batched(
         """Run the truncated dense rung for item ``i``; record its failure
         with the ``original`` error that sent the item there."""
         try:
-            dist = solve_qbd_truncated(qbds[i], fallbacks=rungs)
+            dist = solve_qbd_truncated(stack.process(i), fallbacks=rungs)
         except (QBDConvergenceError, ValueError) as exc:
             # The rung's QBDConvergenceError already logs ``rungs`` first.
             prior = () if isinstance(exc, QBDConvergenceError) else rungs
@@ -158,7 +140,7 @@ def solve_qbd_batched(
     ]
     if pending:
         sub_pi0, sub_pi1, boundary_failed = solve_boundaries(
-            [qbds[i] for i in pending], r[pending]
+            stack if len(pending) == n else stack.take(pending), r[pending]
         )
         for local, exc in boundary_failed.items():
             i = pending[local]
@@ -192,12 +174,12 @@ def solve_qbd_batched(
             i_minus_r_t, rep_mass[..., None]
         )[..., 0]
 
-        for stack in (pi0, pi1, rep_mass, rep_weighted):
-            stack.setflags(write=False)
+        for array in (pi0, pi1, rep_mass, rep_weighted):
+            array.setflags(write=False)
 
         for k, i in enumerate(good):
             dist = QBDStationaryDistribution(
-                qbds[i], r[i], pi0[k], pi1[k], solve_stats=stats_list[i]
+                stack, r[i], pi0[k], pi1[k], solve_stats=stats_list[i], item=i
             )
             dist._seed_level_sums(rep_mass[k], rep_weighted[k])
             distributions[i] = dist

@@ -27,24 +27,22 @@ solved by linear level reduction (Latouche & Ramaswami, ch. 10): with
   scaled to unit total mass;
 * back-substitution ``pi_{j-1} = -pi_j W_j``.
 
-:func:`solve_boundaries` runs this reduction for ``N`` QBDs of one block
-structure at once, every step stacked on a leading item axis;
-:func:`solve_boundary` is its one-item call.  Only the level slices are
-stacked, never whole ``B00`` blocks (at ``X = 25`` one is 14.6 MB).  A
-single declared level reduces this to the Schur complement of ``B00``.  If
-a level block of an item is singular, that item's dense system is solved
-by least squares.
+:func:`solve_boundaries` runs this reduction over a
+:class:`~repro.qbd.structure.QBDStack`, every step stacked on its leading
+item axis; :func:`solve_boundary` is its one-item call.  The stack holds
+only ``B00``'s band, never whole ``B00`` blocks (at ``X = 25`` one is
+14.6 MB).  A single declared level reduces this to the Schur complement of
+``B00``.  If a level block of an item is singular, that item's dense
+system is solved by least squares.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro._types import FloatArray
 from repro.faults import fire as _fault_fire
-from repro.qbd.structure import QBDProcess
+from repro.qbd.structure import QBDProcess, QBDStack
 
 __all__ = ["solve_boundaries", "solve_boundary"]
 
@@ -72,19 +70,18 @@ def solve_boundary(
     r = np.asarray(r, dtype=float)
     if r.shape != (m, m):
         raise ValueError(f"R must have shape {(m, m)}, got {r.shape}")
-    pi0, pi1, failures = solve_boundaries([qbd], r[None])
+    pi0, pi1, failures = solve_boundaries(QBDStack.of([qbd]), r[None])
     if failures:
         raise failures[0]
     return pi0[0], pi1[0]
 
 
 def solve_boundaries(
-    qbds: Sequence[QBDProcess], r: np.ndarray
+    stack: QBDStack, r: np.ndarray
 ) -> tuple[FloatArray, FloatArray, dict[int, Exception]]:
-    """Stacked boundary solve of ``N`` QBDs with one block structure.
+    """Stacked boundary solve of the ``N`` QBDs of ``stack``.
 
-    ``qbds`` share ``boundary_size``, ``phase_count`` and
-    ``boundary_levels``; ``r`` stacks their rate matrices, ``(N, m, m)``.
+    ``r`` stacks their rate matrices, ``(N, m, m)``.
 
     Returns
     -------
@@ -95,14 +92,7 @@ def solve_boundaries(
         raises for it alone).  A failed item's rows are NaN; it never
         fails another item.
     """
-    qbd = qbds[0]
-    n, n_b, m = len(qbds), qbd.boundary_size, qbd.phase_count
-    structure = (n_b, m, qbd.boundary_levels)
-    if any(
-        (q.boundary_size, q.phase_count, q.boundary_levels) != structure
-        for q in qbds
-    ):
-        raise ValueError("solve_boundaries needs QBDs of one block structure")
+    n, n_b, m = stack.size, stack.boundary_size, stack.phase_count
     r = np.asarray(r, dtype=float)
     if r.shape != (n, m, m):
         raise ValueError(f"R must have shape {(n, m, m)}, got {r.shape}")
@@ -117,8 +107,7 @@ def solve_boundaries(
                 "boundary system is singular (injected fault singular_boundary)"
             )
 
-    a1 = np.stack([q.a1 for q in qbds])
-    a2 = np.stack([q.a2 for q in qbds])
+    a1, a2 = stack.a1, stack.a2
     eye = np.eye(m)
     # RHS kept explicitly 3-D: stacked-solve vector dispatch differs
     # between numpy 1.x and 2.x for a 2-D RHS.
@@ -140,7 +129,7 @@ def solve_boundaries(
     # saturation that norm (the largest tail weight) reaches 1e5.  The
     # bound is therefore on the residual, not on the defect itself.
     up_rates = (r @ a2.sum(axis=2)[..., None])[..., 0]
-    defect = np.abs(up_rates - np.stack([q.a0.sum(axis=1) for q in qbds])).max(axis=1)
+    defect = np.abs(up_rates - stack.a0.sum(axis=2)).max(axis=1)
     rate_scale = np.maximum(1.0, np.abs(np.diagonal(a1, axis1=1, axis2=2)).max(axis=1))
     limit = 1e-8 * rate_scale * np.maximum(1.0, np.abs(tail_weights).max(axis=1))
     for i in np.flatnonzero(~(defect <= limit)):
@@ -153,14 +142,16 @@ def solve_boundaries(
     if ok:
         top = a1[ok] + r[ok] @ a2[ok]
         try:
-            x[ok] = _level_reduction([qbds[i] for i in ok], top, tail_weights[ok])
+            x[ok] = _level_reduction(
+                stack if len(ok) == n else stack.take(ok), top, tail_weights[ok]
+            )
         except np.linalg.LinAlgError:
             # Some item has a singular level block or a reducible top
             # level: reduce each item alone, so that only those items take
             # the dense fallback.
             for k, i in enumerate(ok):
                 try:
-                    x[i] = _solve_alone(qbds[i], top[k], tail_weights[i])
+                    x[i] = _solve_alone(stack, i, top[k], tail_weights[i])
                 except np.linalg.LinAlgError as exc:
                     failures[i] = exc
 
@@ -179,48 +170,43 @@ def solve_boundaries(
 
 
 def _solve_alone(
-    qbd: QBDProcess, top: np.ndarray, tail_weights: np.ndarray
+    stack: QBDStack, i: int, top: np.ndarray, tail_weights: np.ndarray
 ) -> np.ndarray:
-    """One item's ``x``: level reduction, or least squares if a level is singular."""
+    """Item ``i``'s ``x``: level reduction, or least squares if a level is
+    singular."""
     try:
-        return _level_reduction([qbd], top[None], tail_weights[None])[0]
+        return _level_reduction(stack.take([i]), top[None], tail_weights[None])[0]
     except np.linalg.LinAlgError:
-        return _dense_lstsq(qbd, top, tail_weights)
+        return _dense_lstsq(stack.process(i), top, tail_weights)
 
 
 def _level_reduction(
-    qbds: Sequence[QBDProcess], top: np.ndarray, tail_weights: np.ndarray
+    stack: QBDStack, top: np.ndarray, tail_weights: np.ndarray
 ) -> np.ndarray:
     """``x = [pi_0, pi_1]`` per item, with ``x M = 0`` and unit total mass.
 
     Raises ``LinAlgError`` if any item has a singular level block or a
     reducible top level.
     """
-    edges = np.cumsum((0, *qbds[0].boundary_levels))
-    k = len(edges) - 1  # boundary levels 0..k-1; level k is pi_1's
+    layout = stack.layout
+    edges, k = layout.edges, len(layout.edges) - 1  # level k is pi_1's
 
     def level(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(D_j, L_j, U_j)`` of boundary level ``j``, stacked over items."""
-        lo = edges[max(j - 1, 0)]
-        band = np.stack(
-            [q.b00[edges[j] : edges[j + 1], lo : edges[min(j + 2, k)]] for q in qbds]
-        )
-        mid, right = edges[j] - lo, edges[j + 1] - lo
-        if j + 1 < k:
-            up = band[..., right:]
-        else:
-            up = np.stack([q.b01[edges[j] :] for q in qbds])
+        band = stack.level_band(j)
+        mid, right = edges[j] - layout.lows[j], edges[j + 1] - layout.lows[j]
+        up = band[..., right:] if j + 1 < k else stack.b01
         return band[..., :mid], band[..., mid:right], up
 
     _, s, up = level(0)
     # h_j: total mass of levels 0..j per unit of pi_j, as a column.
-    h = np.ones((len(qbds), edges[1], 1))
+    h = np.ones((stack.size, edges[1], 1))
     ws: list[np.ndarray] = []
     for j in range(1, k + 1):
         if j < k:
             down, local, next_up = level(j)
         else:
-            down = np.stack([q.b10[:, edges[k - 1] :] for q in qbds])
+            down = stack.b10
             local = top
         w = np.linalg.solve(
             s.transpose(0, 2, 1), down.transpose(0, 2, 1)

@@ -11,7 +11,7 @@ from repro.qbd.rmatrix import (
     raise_first_failure,
     validate_positive_recurrent,
 )
-from repro.qbd.structure import QBDProcess
+from repro.qbd.structure import QBDProcess, QBDStack
 
 __all__ = ["QBDStationaryDistribution", "solve_qbd"]
 
@@ -25,17 +25,24 @@ class QBDStationaryDistribution:
     * level-weighted mass ``sum_{k>=1} k pi_k = pi_1 (I-R)^{-2}``,
 
     plus per-level access and tail sums for diagnostics.
+
+    ``qbd`` is the solved process, or a :class:`~repro.qbd.structure.QBDStack`
+    holding it as item ``item``; then :attr:`qbd` builds the
+    :class:`~repro.qbd.structure.QBDProcess` on first access, and a pickle
+    keeps only this item's part of the stack.
     """
 
     def __init__(
         self,
-        qbd: QBDProcess,
+        qbd: QBDProcess | QBDStack,
         r: np.ndarray,
         pi_boundary: np.ndarray,
         pi_first: np.ndarray,
         solve_stats: SolveStats | None = None,
+        item: int = 0,
     ) -> None:
         self._qbd = qbd
+        self._item = item
         self._r = np.asarray(r, dtype=float)
         self._pi_boundary = np.asarray(pi_boundary, dtype=float)
         self._pi_first = np.asarray(pi_first, dtype=float)
@@ -47,7 +54,16 @@ class QBDStationaryDistribution:
     @property
     def qbd(self) -> QBDProcess:
         """The process this distribution solves."""
+        if isinstance(self._qbd, QBDStack):
+            self._qbd = self._qbd.process(self._item)
+            self._item = 0
         return self._qbd
+
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__.copy()
+        if isinstance(self._qbd, QBDStack) and self._qbd.size > 1:
+            state["_qbd"], state["_item"] = self._qbd.take([self._item]), 0
+        return state
 
     @property
     def solve_stats(self) -> SolveStats | None:
@@ -126,7 +142,7 @@ class QBDStationaryDistribution:
     def residual(self, levels: int = 6) -> float:
         """Max balance-equation residual over the boundary and the first
         ``levels`` repeating levels -- a solution-quality diagnostic."""
-        qbd = self._qbd
+        qbd = self.qbd
         res = self._pi_boundary @ qbd.b00 + self.level(1) @ qbd.b10
         worst = float(np.max(np.abs(res)))
         res = self._pi_boundary @ qbd.b01 + self.level(1) @ qbd.a1 + self.level(2) @ qbd.a2
@@ -171,7 +187,9 @@ def solve_qbd(
     from repro.qbd.batched import solve_qbd_batched
 
     validate_positive_recurrent(qbd.a0, qbd.a1, qbd.a2)
-    (distribution,), report = solve_qbd_batched([qbd], escalate=escalate)
+    (distribution,), report = solve_qbd_batched(
+        QBDStack.of([qbd]), escalate=escalate
+    )
     raise_first_failure([report])
     assert distribution is not None  # a failed item raised above
     return distribution

@@ -1,13 +1,20 @@
-"""Block structure of a QBD process with a general finite boundary."""
+"""Block structure of a QBD process with a general finite boundary.
+
+:class:`QBDProcess` is one QBD with dense blocks; :class:`QBDStack` is
+``N`` QBDs of one block structure on a leading item axis, holding only
+what the stacked kernel reads.
+"""
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-__all__ = ["QBDProcess"]
+__all__ = ["QBDProcess", "QBDStack"]
 
 _ATOL = 1e-8
 
@@ -23,6 +30,61 @@ def _freeze(*arrays: np.ndarray) -> None:
         array.setflags(write=False)
 
 
+class _BandLayout:
+    """Where the block-tridiagonal band of ``B00`` sits, per boundary levels.
+
+    Boundary level ``j``'s rows over the columns of levels ``j-1..j+1``
+    are one ``rows x width`` block, stored flat at ``offsets[j]``; the
+    blocks follow each other level by level.  ``dense_index`` holds the
+    flat ``B00`` index of every band entry, in band order; ``diagonal``
+    and ``row_starts`` the band positions of the ``B00`` diagonal and of
+    each row's first entry.
+    """
+
+    def __init__(self, levels: tuple[int, ...]) -> None:
+        k = len(levels)
+        self.edges = edges = tuple(int(e) for e in np.cumsum((0, *levels)))
+        self.lows = lows = tuple(edges[max(j - 1, 0)] for j in range(k))
+        self.widths = widths = tuple(edges[min(j + 2, k)] - lows[j] for j in range(k))
+        sizes = [levels[j] * widths[j] for j in range(k)]
+        self.offsets = tuple(int(o) for o in np.cumsum((0, *sizes[:-1])))
+        self.size = int(sum(sizes))
+        dense, diagonal, row_starts = [], [], []
+        for j in range(k):
+            rows = np.arange(edges[j], edges[j + 1])
+            cols = np.arange(lows[j], lows[j] + widths[j])
+            dense.append((rows[:, None] * edges[-1] + cols).ravel())
+            local = np.arange(levels[j])
+            row_starts.append(self.offsets[j] + local * widths[j])
+            diagonal.append(row_starts[-1] + edges[j] - lows[j] + local)
+        self.dense_index, self.diagonal, self.row_starts = (
+            np.concatenate(parts) for parts in (dense, diagonal, row_starts)
+        )
+        _freeze(self.dense_index, self.diagonal, self.row_starts)
+
+    def band_index(self, dense: np.ndarray) -> np.ndarray:
+        """Band positions of flat ``B00`` indices; ``ValueError`` if one
+        lies outside the band (the check :class:`QBDProcess` makes)."""
+        n_b = self.edges[-1]
+        rows, cols = np.divmod(dense, n_b)
+        level = np.searchsorted(self.edges, rows, side="right") - 1
+        lows, widths = np.array(self.lows), np.array(self.widths)
+        col = cols - lows[level]
+        outside = (col < 0) | (col >= widths[level])
+        if outside.any():
+            j = int(level[np.argmax(outside)])
+            raise ValueError(
+                f"b00 has an entry outside the block-tridiagonal band in "
+                f"boundary level {j}"
+            )
+        starts = np.array(self.offsets)[level]
+        return starts + (rows - np.array(self.edges)[level]) * widths[level] + col
+
+
+#: One layout per level sizes.
+_band_layout = functools.lru_cache(maxsize=64)(_BandLayout)
+
+
 def _boundary_levels(
     declared: tuple[int, ...], b00: np.ndarray, b01: np.ndarray, b10: np.ndarray
 ) -> tuple[int, ...]:
@@ -34,24 +96,16 @@ def _boundary_levels(
             f"boundary_levels {levels} must be positive sizes summing to "
             f"the boundary size {n_b}"
         )
-    edges = np.cumsum((0, *levels))
-    last = int(edges[-2])
+    last = n_b - levels[-1]
     if np.any(b01[:last]):
         raise ValueError("b01 must be zero outside the last boundary level's rows")
     if np.any(b10[:, :last]):
         raise ValueError("b10 must be zero outside the last boundary level's columns")
-    if len(levels) > 1:
-        outside = b00 != 0
-        for j in range(len(levels)):
-            lo, hi = edges[max(j - 1, 0)], edges[min(j + 2, len(levels))]
-            outside[edges[j] : edges[j + 1], lo:hi] = False
-        if outside.any():
-            row = int(np.argmax(outside.any(axis=1)))
-            j = int(np.searchsorted(edges, row, side="right")) - 1
-            raise ValueError(
-                f"b00 has an entry outside the block-tridiagonal band in "
-                f"boundary level {j}"
-            )
+    layout = _band_layout(levels)
+    outside = b00.reshape(-1) != 0
+    outside[layout.dense_index] = False
+    if outside.any():
+        layout.band_index(np.flatnonzero(outside))  # raises for the first row
     return levels
 
 
@@ -206,5 +260,217 @@ class QBDProcess:
     def __repr__(self) -> str:
         return (
             f"QBDProcess(boundary_size={self.boundary_size}, "
+            f"phase_count={self.phase_count})"
+        )
+
+
+@dataclass(frozen=True)
+class QBDStack:
+    """``N`` QBDs of one block structure, stacked on a leading item axis.
+
+    The input of the stacked kernel (:mod:`repro.qbd.batched`).  It holds
+    ``a0``/``a1``/``a2`` as ``(N, m, m)`` stacks and, of the boundary, only
+    what the level-by-level boundary solve reads; a whole ``B00`` (14.6 MB
+    at the FG/BG model's ``X = 25``) is never stacked.
+
+    Attributes
+    ----------
+    a0, a1, a2:
+        The repeating blocks, ``(N, m, m)``.
+    band:
+        The block-tridiagonal band of each item's ``B00``, ``(N, L)``:
+        boundary level ``j``'s rows over the columns of levels
+        ``j-1..j+1``, level after level.  :class:`QBDProcess` declares
+        every other ``B00`` entry zero.
+    b01, b10:
+        The last boundary level's up block ``(N, s, m)`` and the down
+        block into it ``(N, m, s)``, ``s = boundary_levels[-1]``; the
+        other rows of ``B01`` and columns of ``B10`` are zero.
+    boundary_levels:
+        Sizes of the boundary's physical levels (see :class:`QBDProcess`).
+
+    The constructor makes the checks of :class:`QBDProcess` over the whole
+    stack at once: shapes, signs and row sums; the band and last-level
+    support hold by layout.  The first bad item raises the error its own
+    :class:`QBDProcess` raises.
+    """
+
+    a0: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    band: np.ndarray
+    b01: np.ndarray
+    b10: np.ndarray
+    boundary_levels: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        levels = tuple(int(size) for size in self.boundary_levels)
+        if not levels or min(levels) <= 0:
+            raise ValueError(f"boundary_levels {levels} must be positive sizes")
+        layout = _band_layout(levels)
+        a0 = np.array(self.a0, dtype=float)
+        a1 = np.array(self.a1, dtype=float)
+        a2 = np.array(self.a2, dtype=float)
+        band = np.array(self.band, dtype=float)
+        b01 = np.array(self.b01, dtype=float)
+        b10 = np.array(self.b10, dtype=float)
+        if a1.ndim != 3 or a1.shape[1] != a1.shape[2]:
+            raise ValueError(f"a1 must be square, got shape {a1.shape[1:]}")
+        n, m, s = a1.shape[0], a1.shape[1], levels[-1]
+        if n == 0:
+            raise ValueError("a QBD stack needs at least one QBD")
+        expected = {
+            "a0": (a0, (n, m, m)),
+            "a2": (a2, (n, m, m)),
+            "band": (band, (n, layout.size)),
+            "b01": (b01, (n, s, m)),
+            "b10": (b10, (n, m, s)),
+        }
+        for name, (block, shape) in expected.items():
+            if block.shape != shape:
+                raise ValueError(
+                    f"{name} must have shape {shape[1:]}, got {block.shape[1:]}"
+                )
+        _freeze(a0, a1, a2, band, b01, b10)
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "b01", b01)
+        object.__setattr__(self, "b10", b10)
+        object.__setattr__(self, "boundary_levels", levels)
+        for i in np.flatnonzero(self._failing_items()):
+            self.process(int(i))  # raises this item's QBDProcess error
+
+    def _failing_items(self) -> np.ndarray:
+        """Items failing a sign or row-sum check of :class:`QBDProcess`."""
+        layout = self.layout
+        a0, a1, a2, band = self.a0, self.a1, self.a2, self.band
+        b01, b10 = self.b01, self.b10
+        diag = np.arange(a1.shape[1])
+        bad = np.zeros(a1.shape[0], dtype=bool)
+        for block in (b01, b10, a0, a2):
+            bad |= (block < 0).any(axis=(1, 2))
+        negative = a1 < 0
+        negative[:, diag, diag] = False
+        bad |= negative.any(axis=(1, 2))
+        negative = band < 0
+        negative[:, layout.diagonal] = False
+        bad |= negative.any(axis=1)
+        b00_diag = band[:, layout.diagonal]
+        a1_diag = a1[:, diag, diag]
+        scale = np.maximum(
+            np.maximum(np.abs(b00_diag).max(axis=1), np.abs(a1_diag).max(axis=1)),
+            1.0,
+        )
+        boundary = np.add.reduceat(band, layout.row_starts, axis=1)
+        boundary[:, layout.edges[-2] :] += b01.sum(axis=2)
+        level = a1.sum(axis=2) + a0.sum(axis=2)
+        for sums in (boundary, b10.sum(axis=2) + level, a2.sum(axis=2) + level):
+            bad |= (np.abs(sums) > _ATOL * scale[:, None]).any(axis=1)
+        return bad
+
+    @property
+    def size(self) -> int:
+        """Number of stacked items ``N``."""
+        return self.a1.shape[0]
+
+    @property
+    def boundary_size(self) -> int:
+        """Number of boundary states per item."""
+        return sum(self.boundary_levels)
+
+    @property
+    def phase_count(self) -> int:
+        """Number of states per repeating level."""
+        return self.a1.shape[1]
+
+    @property
+    def layout(self) -> _BandLayout:
+        """Where each boundary level's rows sit in :attr:`band`."""
+        return _band_layout(self.boundary_levels)
+
+    def level_band(self, j: int) -> np.ndarray:
+        """Boundary level ``j``'s band rows, ``(N, rows, width)`` (a view)."""
+        layout = self.layout
+        start, width = layout.offsets[j], layout.widths[j]
+        rows = self.boundary_levels[j]
+        return self.band[:, start : start + rows * width].reshape(-1, rows, width)
+
+    def process(self, i: int) -> QBDProcess:
+        """Item ``i`` as a validated :class:`QBDProcess` with dense blocks."""
+        layout = self.layout
+        n_b, m = self.boundary_size, self.phase_count
+        last = layout.edges[-2]
+        b00 = np.zeros(n_b * n_b)
+        b00[layout.dense_index] = self.band[i]
+        b01 = np.zeros((n_b, m))
+        b01[last:] = self.b01[i]
+        b10 = np.zeros((m, n_b))
+        b10[:, last:] = self.b10[i]
+        return QBDProcess(
+            b00=b00.reshape(n_b, n_b),
+            b01=b01,
+            b10=b10,
+            a0=self.a0[i],
+            a1=self.a1[i],
+            a2=self.a2[i],
+            boundary_levels=self.boundary_levels,
+        )
+
+    def take(self, items: Sequence[int]) -> QBDStack:
+        """The stack of ``items``, in that order."""
+        index = list(items)
+        return QBDStack(
+            a0=self.a0[index],
+            a1=self.a1[index],
+            a2=self.a2[index],
+            band=self.band[index],
+            b01=self.b01[index],
+            b10=self.b10[index],
+            boundary_levels=self.boundary_levels,
+        )
+
+    @classmethod
+    def of(cls, qbds: Iterable[QBDProcess]) -> QBDStack:
+        """Stack validated :class:`QBDProcess` instances of one structure.
+
+        Raises
+        ------
+        ValueError
+            If ``qbds`` is empty or mixes block structures.
+        TypeError
+            If an item is not a :class:`QBDProcess`.
+        """
+        qbds = list(qbds)
+        if not qbds:
+            raise ValueError("a QBD stack needs at least one QBD")
+        for q in qbds:
+            if not isinstance(q, QBDProcess):
+                raise TypeError(
+                    f"expected QBDProcess instances, got {type(q).__name__}"
+                )
+        shapes = {(q.boundary_size, q.phase_count, q.boundary_levels) for q in qbds}
+        if len(shapes) > 1:
+            raise ValueError(
+                f"mixed block shapes {sorted(shapes)}; group same-shape QBDs "
+                "before stacking them"
+            )
+        levels = qbds[0].boundary_levels
+        layout = _band_layout(levels)
+        last = layout.edges[-2]
+        return cls(
+            a0=np.stack([q.a0 for q in qbds]),
+            a1=np.stack([q.a1 for q in qbds]),
+            a2=np.stack([q.a2 for q in qbds]),
+            band=np.stack([q.b00.reshape(-1)[layout.dense_index] for q in qbds]),
+            b01=np.stack([q.b01[last:] for q in qbds]),
+            b10=np.stack([q.b10[:, last:] for q in qbds]),
+            boundary_levels=levels,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"QBDStack(size={self.size}, boundary_levels={self.boundary_levels}, "
             f"phase_count={self.phase_count})"
         )

@@ -1,23 +1,26 @@
 """Tests for the QBD block assembly (paper Figures 3-4, Eq. 6)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.contracts.errors import ContractViolation
+from repro.core.batched import solve_models_batched
 from repro.core.blocks import BgServiceMode, build_qbd
+from repro.core.metrics import NEAR_ZERO_BG_PROBABILITY
+from repro.core.model import FgBgModel
 from repro.core.states import StateKind
 from repro.markov import validate_generator
-from repro.processes import MMPP, PoissonProcess, fit_mmpp2
+from repro.processes import MMPP, MarkovianArrivalProcess, PoissonProcess, fit_mmpp2
+from repro.qbd.structure import QBDProcess
+from repro.workloads.paper import SERVICE_RATE_PER_MS, WORKLOADS
 
 
 def build(arrival, mu=1.0, p=0.3, x=2, alpha=1.0, mode=BgServiceMode.BACK_TO_BACK):
-    return build_qbd(
-        arrival=arrival,
-        service_rate=mu,
-        bg_probability=p,
-        bg_buffer=x,
-        idle_wait_rate=alpha,
-        bg_mode=mode,
-    )
+    """One-item build: the item's ``QBDProcess`` and the state space."""
+    stack, space = build_qbd([arrival], [mu], [p], x, [alpha], mode)
+    return stack.process(0), space
 
 
 class TestValidation:
@@ -284,3 +287,188 @@ class TestPatternAssembly:
         _, again = build(arrival, p=0.6, x=3, alpha=0.2)
         assert again is space
         assert not space.boundary_fg_counts.flags.writeable
+
+
+def assert_same_bits(got, want, case):
+    assert np.array_equal(got, want), case
+    assert np.array_equal(np.signbit(got), np.signbit(want)), case
+
+
+class TestStackedBuild:
+    """Item ``i`` of a stacked build is its one-item build, bit for bit,
+    and both are the group-by-group assembly."""
+
+    @pytest.mark.parametrize("mode", list(BgServiceMode))
+    @pytest.mark.parametrize("x", [0, 1, 5, 25])
+    def test_items_match_one_item_builds(self, x, mode):
+        mu = SERVICE_RATE_PER_MS
+        near = NEAR_ZERO_BG_PROBABILITY
+        # Mixed workloads, loads, p on both sides of the near-zero
+        # threshold, service rates and idle waits in one stack.
+        items = [
+            (WORKLOADS["email"].fit().scaled_by(0.5), mu, 0.0, mu),
+            (WORKLOADS["software_development"].fit(), 2 * mu, near / 2, 0.05 * mu),
+            (WORKLOADS["user_accounts"].fit().scaled_by(1.5), mu / 2, near, 20 * mu),
+            (WORKLOADS["software_development"].fit().scaled_by(0.8), mu, 0.37, mu),
+            (WORKLOADS["email"].fit(), 3 * mu, 1.0, 0.5 * mu),
+        ]
+        arrivals, mus, ps, alphas = zip(*items)
+        stack, space = build_qbd(arrivals, mus, ps, x, alphas, mode)
+        assert stack.size == len(items)
+        for i, (arrival, mu_i, p_i, alpha_i) in enumerate(items):
+            one, one_space = build_qbd([arrival], [mu_i], [p_i], x, [alpha_i], mode)
+            assert one_space is space
+            for name in ("a0", "a1", "a2", "band", "b01", "b10"):
+                assert_same_bits(getattr(stack, name)[i], getattr(one, name)[0], (i, name))
+            process = stack.process(i)
+            expected = reference_blocks(arrival, mu_i, p_i, x, alpha_i, mode)
+            for name, block in expected.items():
+                assert_same_bits(getattr(process, name), block, (i, name))
+
+
+def forged_map(d0, d1):
+    """A MAP object that skipped the constructor's checks: no certificate."""
+    process = object.__new__(MarkovianArrivalProcess)
+    process._d0 = np.array(d0, dtype=float)
+    process._d1 = np.array(d1, dtype=float)
+    process._d0.setflags(write=False)
+    process._d1.setflags(write=False)
+    return process
+
+
+def levels_of(x, phases):
+    return tuple((2 * j + 1) * phases for j in range(x + 1))
+
+
+class TestStackErrors:
+    """Bad input fails the stacked path with the exception the one-item
+    path (``QBDProcess``, the MAP constructor, ``FgBgModel``) raises."""
+
+    good = fit_mmpp2(rate=0.3, scv=2.0, decay=0.9)
+
+    def dense_error(self, arrival, x=2):
+        blocks = reference_blocks(arrival, 1.0, 0.3, x, 1.0, BgServiceMode.BACK_TO_BACK)
+        with pytest.raises(ValueError) as excinfo:
+            QBDProcess(**blocks, boundary_levels=levels_of(x, arrival.order))
+        return excinfo.value
+
+    def stacked_error(self, arrival, x=2):
+        with pytest.raises(ValueError) as excinfo:
+            build_qbd([self.good, arrival], [1.0] * 2, [0.3] * 2, x, [1.0] * 2)
+        return excinfo.value
+
+    def test_negative_service_rate(self):
+        with pytest.raises(ValueError) as model:
+            FgBgModel(arrival=self.good, service_rate=-1.0, bg_probability=0.3)
+        with pytest.raises(ValueError) as stacked:
+            build_qbd([self.good] * 2, [1.0, -1.0], [0.3] * 2, 2, [1.0] * 2)
+        assert str(stacked.value) == str(model.value)
+
+    def test_negative_arrival_rate(self):
+        d0, d1 = [[-1.0, 1.2], [0.5, -0.7]], [[-0.2, 0.0], [0.0, 0.2]]
+        with pytest.raises(ValueError, match="D1 must be entrywise non-negative"):
+            MarkovianArrivalProcess(d0, d1)
+        # D0 + D1 is a generator, so only the block sign check catches it.
+        forged = forged_map(d0, d1)
+        dense, stacked = self.dense_error(forged), self.stacked_error(forged)
+        assert str(dense) == "b01 must be entrywise non-negative"
+        assert (type(stacked), str(stacked)) == (type(dense), str(dense))
+
+    def test_non_generator_map(self, monkeypatch):
+        d0, d1 = [[-1.0, 0.5], [0.5, -1.0]], [[0.3, 0.0], [0.0, 0.3]]
+        with pytest.raises(ValueError, match="sums to"):
+            MarkovianArrivalProcess(d0, d1)
+        forged = forged_map(d0, d1)
+        # Scaling an uncertified MAP runs the constructor's checks.
+        with pytest.raises(ValueError) as direct:
+            MarkovianArrivalProcess(np.array(d0) * 2, np.array(d1) * 2)
+        with pytest.raises(ValueError) as scaled:
+            forged.scaled_by(2.0)
+        assert str(scaled.value) == str(direct.value)
+        with pytest.raises(ContractViolation) as refused:
+            FgBgModel(arrival=forged, service_rate=1.0, bg_probability=0.3)
+        assert (refused.value.check, refused.value.subject) == (
+            "check_generator",
+            "arrival D0+D1",
+        )
+        dense, stacked = self.dense_error(forged), self.stacked_error(forged)
+        assert str(dense).startswith("boundary row")
+        assert (type(stacked), str(stacked)) == (type(dense), str(dense))
+        # Without contracts the model exists; both solve paths refuse it
+        # alike, before any block is built.
+        monkeypatch.setenv("REPRO_CONTRACTS", "off")
+        model = FgBgModel(arrival=forged, service_rate=1.0, bg_probability=0.3)
+        fine = FgBgModel(arrival=self.good, service_rate=1.0, bg_probability=0.3)
+        with pytest.raises(ValueError) as one:
+            model.solve()
+        with pytest.raises(ValueError) as many:
+            solve_models_batched([fine, model])
+        assert (type(many.value), str(many.value)) == (type(one.value), str(one.value))
+
+    def test_malformed_block(self):
+        stack, _ = build_qbd([self.good] * 2, [1.0] * 2, [0.3] * 2, 2, [1.0] * 2)
+        process = stack.process(1)
+        m = stack.a1.shape[1]
+        a1 = np.array(stack.a1)
+        a1[1, 0, 0] += 0.5  # item 1's first repeating-level row sum
+        # A negative off-diagonal B00 rate whose row still sums to zero:
+        # only the sign check can catch it.
+        layout = stack.layout
+        row = layout.edges[-2]  # first row of the last boundary level
+        start = layout.row_starts[row]
+        width = layout.widths[-1]
+        positive = np.flatnonzero(stack.band[1, start : start + width] > 0)
+        first, second = start + np.setdiff1d(positive, layout.diagonal[row] - start)[:2]
+        band = np.array(stack.band)
+        rate = band[1, first]
+        band[1, first], band[1, second] = -rate, band[1, second] + 2 * rate
+        b00 = process.b00.reshape(-1).copy()
+        b00[layout.dense_index[[first, second]]] = band[1, [first, second]]
+        b00 = b00.reshape(process.b00.shape)
+        # The same in A1: two off-diagonal rates of one row.
+        signed = np.array(stack.a1)
+        first, second = np.setdiff1d(np.flatnonzero(signed[1, 0] > 0), [0])[:2]
+        rate = signed[1, 0, first]
+        signed[1, 0, first], signed[1, 0, second] = -rate, signed[1, 0, second] + 2 * rate
+        cases = [
+            ({"a1": np.zeros((2, m, m + 1))}, {"a1": np.zeros((m, m + 1))}),
+            ({"a2": np.zeros((2, m, m - 1))}, {"a2": np.zeros((m, m - 1))}),
+            ({"a1": a1}, {"a1": a1[1]}),
+            ({"a1": signed}, {"a1": signed[1]}),
+            ({"band": band}, {"b00": b00}),
+        ]
+        for stacked_change, dense_change in cases:
+            with pytest.raises(ValueError) as dense:
+                dataclasses.replace(process, **dense_change)
+            with pytest.raises(ValueError) as stacked:
+                dataclasses.replace(stack, **stacked_change)
+            assert str(stacked.value) == str(dense.value), stacked_change.keys()
+
+    def test_x25_solve_builds_no_process_for_solved_items(self, monkeypatch):
+        built = []
+        post_init = QBDProcess.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(QBDProcess, "__post_init__", counted)
+        arrival = WORKLOADS["software_development"].fit()
+        models = [
+            FgBgModel(
+                arrival=arrival,
+                service_rate=SERVICE_RATE_PER_MS,
+                bg_probability=p,
+                bg_buffer=25,
+            ).at_utilization(load)
+            for p, load in ((0.3, 0.5), (0.6, 0.3))
+        ]
+        solutions, reports = solve_models_batched(models)
+        assert all(s is not None for s in solutions)
+        assert not any(report.failures for report in reports)
+        assert models[0].state_space.bg_buffer == 25
+        assert built == []
+        # The distribution builds its QBDProcess on first access, once.
+        qbd = solutions[1].qbd_solution.qbd
+        assert len(built) == 1 and solutions[1].qbd_solution.qbd is qbd
+        np.testing.assert_array_equal(qbd.b00, models[1].qbd.b00)

@@ -34,7 +34,7 @@ class TestSolveKey:
         # so caches written while solves took those parameters still hit.
         fp = model().fingerprint()
         h = hashlib.sha256()
-        h.update(b"format-3:")
+        h.update(b"format-4:")
         h.update(fp.encode())
         h.update(b"logarithmic-reduction")
         h.update((1e-12).hex().encode())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.markov import stationary_distribution
 from repro.processes import MMPP, MarkovianArrivalProcess, PoissonProcess
 
 
@@ -130,6 +131,58 @@ class TestScaling:
     def test_invalid_utilization_raises(self):
         with pytest.raises(ValueError, match="positive"):
             make_map().scaled_to_utilization(-0.1, 1.0)
+
+
+def assert_same_bits(got, want):
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestCertifiedScaling:
+    """Scaling a certified MAP or MMPP skips the constructor's checks and
+    stores exactly what the validating path stores."""
+
+    @pytest.mark.parametrize("factor", [0.37, 1.0, 2.9])
+    def test_mmpp_copy_matches_validating_path(self, factor):
+        m = MMPP.two_state(v1=0.013, v2=0.4, l1=0.31, l2=0.0007)
+        scaled = m.scaled_by(factor)
+        reference = MMPP.from_map_matrices(m.d0 * factor, m.d1 * factor)
+        assert type(scaled) is MMPP and scaled._generator_validated
+        for name in ("d0", "d1", "modulating_generator", "arrival_rates"):
+            assert_same_bits(getattr(scaled, name), getattr(reference, name))
+        assert not scaled.d0.flags.writeable and not scaled.d1.flags.writeable
+        # GTH of the scaled generator, as the validating solve computes it.
+        assert_same_bits(
+            scaled.phase_stationary, stationary_distribution(reference.generator)
+        )
+        assert scaled.mean_rate == reference.mean_rate
+
+    def test_map_copy_matches_validating_path(self):
+        m = make_map()
+        scaled = m.scaled_by(1.7)
+        reference = MarkovianArrivalProcess(m.d0 * 1.7, m.d1 * 1.7)
+        assert type(scaled) is MarkovianArrivalProcess
+        assert_same_bits(scaled.d0, reference.d0)
+        assert_same_bits(scaled.d1, reference.d1)
+        assert_same_bits(
+            scaled.phase_stationary, stationary_distribution(reference.generator)
+        )
+
+    def test_writable_matrices_take_the_validating_path(self, monkeypatch):
+        m = MMPP.two_state(v1=1.0, v2=2.0, l1=3.0, l2=0.5)
+        m.d0.setflags(write=True)
+        checked = []
+        monkeypatch.setattr(
+            MMPP, "from_map_matrices", classmethod(lambda cls, d0, d1: checked.append(1))
+        )
+        m.scaled_by(2.0)
+        assert checked == [1]
+
+    def test_subclasses_keep_their_constructors(self):
+        from repro.processes import InterruptedPoissonProcess
+
+        ipp = InterruptedPoissonProcess(rate_on=2.0, on_to_off=0.5, off_to_on=1.0)
+        assert type(ipp.scaled_by(2.0)) is InterruptedPoissonProcess
+        assert type(PoissonProcess(1.0).scaled_by(2.0)) is PoissonProcess
 
 
 class TestSuperposition:

@@ -9,6 +9,7 @@ from repro.processes import fit_mmpp2
 from repro.qbd import (
     BatchedSolveReport,
     QBDProcess,
+    QBDStack,
     batched_r_matrix,
     r_matrix,
     r_matrix_functional_iteration,
@@ -212,7 +213,7 @@ class TestBatchedRMatrix:
                 with pytest.raises(ValueError) as excinfo:
                     solve()
                 messages.append(str(excinfo.value))
-            (distribution,), report = solve_qbd_batched([qbd])
+            (distribution,), report = solve_qbd_batched(QBDStack.of([qbd]))
             assert distribution is None
             messages.append(report.failures[0].message)
             assert messages[0].startswith("QBD is not positive recurrent")
@@ -224,7 +225,7 @@ class TestSolveQbdBatched:
         # Stacked items equal their one-item solves, and the distributions
         # match the truncated dense chain (an independent solve).
         qbds = [m.qbd for m in email_models()]
-        batched, _ = solve_qbd_batched(qbds)
+        batched, _ = solve_qbd_batched(QBDStack.of(qbds))
         for q, b in zip(qbds, batched):
             np.testing.assert_array_equal(b.r, solve_qbd(q).r)
             dense = solve_qbd_truncated(q)
@@ -239,23 +240,25 @@ class TestSolveQbdBatched:
             )
 
     def test_residual_is_small(self):
-        for dist in solve_qbd_batched([m.qbd for m in email_models()])[0]:
+        stack = QBDStack.of([m.qbd for m in email_models()])
+        for dist in solve_qbd_batched(stack)[0]:
             assert dist.residual(levels=6) < 1e-9
 
     def test_total_mass_is_one(self):
-        for dist in solve_qbd_batched([m.qbd for m in email_models()])[0]:
+        stack = QBDStack.of([m.qbd for m in email_models()])
+        for dist in solve_qbd_batched(stack)[0]:
             assert dist.total_mass == pytest.approx(1.0, abs=1e-10)
 
     def test_seeded_level_sums_match_lazy_path(self):
         qbds = [m.qbd for m in email_models(ps=(0.1, 0.6))]
-        for dist in solve_qbd_batched(qbds)[0]:
+        for dist in solve_qbd_batched(QBDStack.of(qbds))[0]:
             seeded = dist.repeating_mass
             lazy = dist._apply_inv_i_minus_r(dist.level(1))
             np.testing.assert_allclose(seeded, lazy, atol=1e-12)
 
     def test_single_item_batch(self):
         qbd = email_models(ps=(0.3,))[0].qbd
-        (dist,), report = solve_qbd_batched([qbd])
+        (dist,), report = solve_qbd_batched(QBDStack.of([qbd]))
         reference = solve_qbd(qbd)
         np.testing.assert_array_equal(dist.r, reference.r)
         assert report.batch_size == 1
@@ -265,7 +268,7 @@ class TestSolveQbdBatched:
         # unstable item's slot is None, its neighbours solve as if alone.
         stable = QBDProcess.homogeneous(*mm1_triple())
         unstable = QBDProcess.homogeneous(*mm1_triple(lam=3.0, mu=2.0))
-        got, report = solve_qbd_batched([stable, unstable, stable])
+        got, report = solve_qbd_batched(QBDStack.of([stable, unstable, stable]))
         assert got[1] is None
         for i in (0, 2):
             np.testing.assert_array_equal(got[i].r, solve_qbd(stable).r)
@@ -282,7 +285,7 @@ class TestSolveQbdBatched:
 
         monkeypatch.setattr(batched_module, "solve_qbd_truncated", no_truncation)
         qbd = QBDProcess.homogeneous([[3]], [[-5]], [[2]])
-        (dist,), report = solve_qbd_batched([qbd], escalate=True)
+        (dist,), report = solve_qbd_batched(QBDStack.of([qbd]), escalate=True)
         assert dist is None
         (failure,) = report.failures
         assert (failure.stage, failure.error_type) == ("r-matrix", "ValueError")
@@ -292,25 +295,40 @@ class TestSolveQbdBatched:
         assert str(excinfo.value) == failure.message
 
     def test_carries_per_item_stats(self):
-        for dist in solve_qbd_batched([m.qbd for m in email_models()])[0]:
+        stack = QBDStack.of([m.qbd for m in email_models()])
+        for dist in solve_qbd_batched(stack)[0]:
             assert dist.solve_stats is not None
             assert dist.solve_stats.iterations > 0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            solve_qbd_batched([])
+            solve_qbd_batched(QBDStack.of([]))
 
     def test_rejects_non_qbd(self):
         with pytest.raises(TypeError, match="QBDProcess"):
-            solve_qbd_batched([np.eye(2)])
+            solve_qbd_batched(QBDStack.of([np.eye(2)]))
 
     def test_rejects_mixed_shapes(self):
         small = QBDProcess.homogeneous(*mm1_triple())
         big = email_models(ps=(0.3,))[0].qbd
         with pytest.raises(ValueError, match="mixed block shapes"):
-            solve_qbd_batched([small, big])
+            solve_qbd_batched(QBDStack.of([small, big]))
+
+    def test_pickle_keeps_only_its_item(self):
+        import pickle
+
+        qbds = [m.qbd for m in email_models()]
+        stack = QBDStack.of(qbds)
+        dists, _ = solve_qbd_batched(stack)
+        payload = pickle.dumps(dists[2])
+        assert len(payload) < len(pickle.dumps(stack)) / 2
+        clone = pickle.loads(payload)
+        for name in ("b00", "b01", "b10", "a0", "a1", "a2"):
+            np.testing.assert_array_equal(getattr(clone.qbd, name), getattr(qbds[2], name))
+        np.testing.assert_array_equal(clone.repeating_mass, dists[2].repeating_mass)
 
     def test_distribution_arrays_read_only(self):
-        (dist,), _ = solve_qbd_batched([email_models(ps=(0.3,))[0].qbd])
+        stack = QBDStack.of([email_models(ps=(0.3,))[0].qbd])
+        (dist,), _ = solve_qbd_batched(stack)
         for arr in (dist.r, dist.boundary, dist.repeating_mass):
             assert not np.asarray(arr).flags.writeable

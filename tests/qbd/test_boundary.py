@@ -10,6 +10,7 @@ from repro.core import BgServiceMode, FgBgModel
 from repro.processes import MMPP, fit_mmpp2
 from repro.qbd import (
     QBDProcess,
+    QBDStack,
     QBDStationaryDistribution,
     solve_boundary,
     solve_qbd_batched,
@@ -151,7 +152,7 @@ class TestLevelReduction:
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
         # The same item inside a stack keeps that accuracy.
         pi0, pi1, failures = solve_boundaries(
-            [neighbour, qbd], np.stack([polished_r(neighbour), r])
+            QBDStack.of([neighbour, qbd]), np.stack([polished_r(neighbour), r])
         )
         assert failures == {}
         stacked = np.concatenate([pi0[1], pi1[1]])
@@ -232,7 +233,7 @@ class TestStackedBoundary:
             r_matrix_functional_iteration(qbds[0].a0, qbds[0].a1, qbds[0].a2),
             r_matrix(qbds[1].a0, qbds[1].a1, qbds[1].a2),
         ]
-        pi0, pi1, failures = solve_boundaries(qbds, np.stack(rs))
+        pi0, pi1, failures = solve_boundaries(QBDStack.of(qbds), np.stack(rs))
         assert failures == {}
         for i, (qbd, r) in enumerate(zip(qbds, rs)):
             ref0, ref1 = solve_boundary(qbd, r)
@@ -242,7 +243,9 @@ class TestStackedBoundary:
     def test_failed_item_does_not_fail_the_others(self):
         qbds = [mmpp_m1_qbd()] * 3
         r = r_matrix(qbds[0].a0, qbds[0].a1, qbds[0].a2)
-        pi0, pi1, failures = solve_boundaries(qbds, np.stack([r, r[::-1, ::-1], r]))
+        pi0, pi1, failures = solve_boundaries(
+            QBDStack.of(qbds), np.stack([r, r[::-1, ::-1], r])
+        )
         assert list(failures) == [1]
         assert isinstance(failures[1], ValueError)
         assert np.isnan(pi0[1]).all() and np.isnan(pi1[1]).all()
@@ -256,8 +259,8 @@ class TestStackedBoundary:
         big = FgBgModel(
             arrival=WORKLOADS["email"].fit(), service_rate=MU, bg_probability=0.3
         ).qbd
-        with pytest.raises(ValueError, match="one block structure"):
-            solve_boundaries([small, big], np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="mixed block shapes"):
+            solve_boundaries(QBDStack.of([small, big]), np.zeros((2, 2, 2)))
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_collect_isolates_singular_boundary_fault_to_its_item(self, k):
@@ -269,9 +272,9 @@ class TestStackedBoundary:
             ).qbd
             for load in (0.2, 0.35, 0.5, 0.65, 0.8)
         ]
-        reference, _ = solve_qbd_batched(qbds)
+        reference, _ = solve_qbd_batched(QBDStack.of(qbds))
         with faults.inject(f"singular_boundary:after={k}:limit=1"):
-            got, report = solve_qbd_batched(qbds)
+            got, report = solve_qbd_batched(QBDStack.of(qbds))
         assert got[k] is None
         (failure,) = report.failures
         assert (failure.index, failure.stage) == (k, "boundary")

@@ -70,7 +70,8 @@ def two_level_blocks(x: int = 2) -> dict:
     from repro.core.blocks import build_qbd
     from repro.processes import PoissonProcess
 
-    qbd, _ = build_qbd(PoissonProcess(0.4), 1.0, 0.3, x, 0.7)
+    stack, _ = build_qbd([PoissonProcess(0.4)], [1.0], [0.3], x, [0.7])
+    qbd = stack.process(0)
     blocks = {
         name: np.array(getattr(qbd, name))
         for name in ("b00", "b01", "b10", "a0", "a1", "a2")

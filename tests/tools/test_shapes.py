@@ -184,6 +184,18 @@ def test_kron_product_dims_conform():
     assert shape_codes(source) == []
 
 
+def test_transposed_stack_of_oriented_blocks_enters_kron():
+    # A stack of the items' D1 keeps D1's orientation; its .T does not.
+    source = (
+        "import numpy as np\n"
+        "def assemble(arrivals, m_g):\n"
+        "    d1 = np.stack([arrival.d1 for arrival in arrivals])\n"
+        "    ok = np.kron(np.eye(m_g), d1)\n"
+        "    return ok, np.kron(np.eye(m_g), d1.T)\n"
+    )
+    assert [(v.code, v.line) for v in shape_codes(source)] == [("RL016", 5)]
+
+
 def test_slicing_and_indexing_transfer():
     # A full slice keeps the symbolic dim; an integer index drops the
     # axis, so q[0] @ q is a (m,) @ (m,m) vector product -- fine.

@@ -594,12 +594,15 @@ class _Walker:
 
     def _eval_attribute(self, expr: ast.Attribute) -> ArrayFact | None:
         if expr.attr == "T":
+            # ``.T`` reverses every axis: on a stack it transposes each
+            # item's block (and moves the item axis last).
             base = self._eval(expr.value)
-            if base is not None and base.ndim == 2:
+            if base is not None and base.ndim is not None and base.ndim >= 2:
                 return replace(
                     base,
-                    shape=(base.shape[1], base.shape[0]),
+                    shape=tuple(reversed(base.shape)),
                     transposed=not base.transposed,
+                    stacked=False,
                 )
             return None
         # Attribute *reads* seed from the canonical field declarations
@@ -844,7 +847,7 @@ class _Walker:
         if leaf == "stack" and node.args:
             elem = self._stack_element_fact(node.args[0])
             if elem is not None and elem.shape is not None:
-                return ArrayFact(("N", *elem.shape), stacked=True)
+                return ArrayFact(("N", *elem.shape), elem.kind, stacked=True)
             return ArrayFact(None, stacked=True)
         if leaf == "transpose":
             return self._transpose_call(node, arg_facts)
@@ -1053,6 +1056,10 @@ class _Walker:
                 fact = join(fact, self._eval(elt))
             return fact
         if isinstance(arg, (ast.ListComp, ast.GeneratorExp)):
+            # ``[arrival.d1 for arrival in arrivals]``: an attribute read
+            # seeds from its canonical field declaration.
+            if isinstance(arg.elt, ast.Attribute) and arg.elt.attr != "T":
+                return _seed_for(arg.elt.attr, batched=False)
             return None
         return None
 
