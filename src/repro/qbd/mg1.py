@@ -128,13 +128,7 @@ class MG1Process:
     @cached_property
     def drift(self) -> float:
         """Mean level drift ``theta (sum_k (k-1) A_k) e``; negative = stable."""
-        a_total = sum(self.repeating_blocks)
-        theta = stationary_distribution(a_total, method="dense")
-        e = np.ones(self.phase_count)
-        value = -float(theta @ self.repeating_blocks[0] @ e)
-        for k, a in enumerate(self.repeating_blocks[2:], start=2):
-            value += (k - 1) * float(theta @ a @ e)
-        return value
+        return _drift(self.repeating_blocks)
 
     def truncated_generator(self, levels: int) -> np.ndarray:
         """Dense generator truncated after ``levels`` repeating levels,
@@ -170,6 +164,16 @@ class MG1Process:
         return q
 
 
+def _drift(repeating_blocks) -> float:
+    """Mean level drift of the repeating blocks ``A0, A1, A2, ...``."""
+    theta = stationary_distribution(sum(repeating_blocks), method="dense")
+    e = np.ones(repeating_blocks[0].shape[0])
+    value = -float(theta @ repeating_blocks[0] @ e)
+    for k, a in enumerate(repeating_blocks[2:], start=2):
+        value += (k - 1) * float(theta @ a @ e)
+    return value
+
+
 def g_matrix_mg1(
     repeating_blocks: tuple[np.ndarray, ...],
     tol: float = 1e-12,
@@ -177,12 +181,18 @@ def g_matrix_mg1(
 ) -> np.ndarray:
     """Minimal solution of ``A0 + A1 G + A2 G^2 + ... = 0``.
 
-    Monotone natural iteration ``G <- (-A1)^{-1} (A0 + sum_{k>=2} A_k G^k)``.
+    Natural iteration ``G <- (-A1)^{-1} (A0 + sum_{k>=2} A_k G^k)``.  For a
+    positive recurrent chain ``G`` is the unique stochastic solution, so the
+    iteration starts from the identity: every iterate stays stochastic and
+    the convergence is far faster than the monotone climb from zero, which
+    under slow phase switching stops on a small step while ``G e`` still
+    falls short of ``e`` by orders of magnitude more than ``tol``.  Other
+    chains start from zero, whose limit is the minimal solution.
     """
     a_blocks = [np.asarray(a, dtype=float) for a in repeating_blocks]
     m = a_blocks[0].shape[0]
     inv_neg_a1 = np.linalg.inv(-a_blocks[1])
-    g = np.zeros((m, m))
+    g = np.eye(m) if _drift(a_blocks) < 0 else np.zeros((m, m))
     for _ in range(max_iter):
         acc = a_blocks[0].copy()
         power = g @ g

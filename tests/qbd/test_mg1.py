@@ -105,6 +105,30 @@ class TestGMatrix:
         residual = a[0] + a[1] @ g + a[2] @ g @ g + a[3] @ g @ g @ g
         np.testing.assert_allclose(residual, 0.0, atol=1e-9)
 
+    def test_slow_switching_qbd_g_is_stochastic_and_agrees(self):
+        # Three phases switching at rate 0.01, one of them overloaded: the
+        # iteration from zero stopped with G e short of e by 2.6e-9, and the
+        # censored boundary generator then failed its row-sum check.
+        mu = 4.8375
+        gen = np.full((3, 3), 0.01)
+        np.fill_diagonal(gen, -0.02)
+        d1 = np.diag(np.array([50.0, 1.0, 1.0]) * (3.7852 / 52.0 * 3.0))
+        qbd = QBDProcess.homogeneous(d1, gen - d1 - mu * np.eye(3), mu * np.eye(3))
+        blocks = (qbd.a2, qbd.a1, qbd.a0)
+        g = g_matrix_mg1(blocks)
+        np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
+        mg1_sol = solve_mg1(
+            MG1Process(
+                boundary_blocks=(qbd.b00, qbd.b01),
+                down_block=qbd.b10,
+                repeating_blocks=blocks,
+            )
+        )
+        qbd_sol = solve_qbd(qbd)
+        np.testing.assert_allclose(mg1_sol.boundary, qbd_sol.boundary, atol=1e-10)
+        for k in range(1, 5):
+            np.testing.assert_allclose(mg1_sol.level(k), qbd_sol.level(k), atol=1e-10)
+
 
 class TestAgainstClosedForms:
     def test_mm1_geometric(self):
