@@ -1,9 +1,8 @@
 """Runtime contracts: machine-checked invariants of the analytic stack.
 
 * :mod:`~repro.contracts.checks` -- vectorized validators
-  (:func:`check_generator`, :func:`check_r_matrix`,
-  :func:`check_drift_stable`, ...), each raising a typed
-  :class:`ContractViolation` naming the offending matrix and check.
+  (:func:`check_generator`, :func:`check_r_matrix`, ...), each raising a
+  typed :class:`ContractViolation` naming the offending matrix and check.
 * :mod:`~repro.contracts.decorator` -- the :func:`contracted` pre/post
   condition decorator.
 * :mod:`~repro.contracts.solution` -- :func:`check_solution`, the
@@ -20,7 +19,6 @@ from repro.contracts.checks import (
     DEFAULT_ATOL,
     ENV_SWITCH,
     certify_spectral_radius_below_one,
-    check_drift_stable,
     check_finite,
     check_generator,
     check_nonnegative,
@@ -41,7 +39,6 @@ __all__ = [
     "ENV_SWITCH",
     "ContractViolation",
     "certify_spectral_radius_below_one",
-    "check_drift_stable",
     "check_finite",
     "check_generator",
     "check_nonnegative",

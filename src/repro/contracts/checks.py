@@ -28,7 +28,6 @@ from repro.contracts.errors import ContractViolation
 __all__ = [
     "contracts_enabled",
     "certify_spectral_radius_below_one",
-    "check_drift_stable",
     "check_finite",
     "check_generator",
     "check_nonnegative",
@@ -357,26 +356,4 @@ def check_r_matrix(
             name,
             f"spectral radius {sp:.6g} >= 1: not the minimal solution "
             "(or the QBD is unstable); the geometric tail does not sum",
-        )
-
-
-def check_drift_stable(
-    a0: ArrayLike, a1: ArrayLike, a2: ArrayLike, name: str = "A0/A1/A2"
-) -> None:
-    """The QBD with repeating blocks ``(a0, a1, a2)`` drifts down.
-
-    Delegates to :func:`repro.qbd.rmatrix.drift`, whose SCC decomposition
-    handles the reducible phase processes of the FG/BG chain (do **not**
-    replace this with a plain stationary solve of ``A0+A1+A2``).
-    """
-    if not contracts_enabled():
-        return
-    from repro.qbd.rmatrix import drift  # local import: rmatrix imports us
-
-    value = drift(a0, a1, a2)
-    if value >= 0.0:
-        raise ContractViolation(
-            "check_drift_stable",
-            name,
-            f"mean drift {value:.6g} >= 0: the QBD is not positive recurrent",
         )

@@ -241,27 +241,17 @@ class SweepEngine:  # noqa: RL007 -- validation delegated to EngineConfig.__post
     # ------------------------------------------------------------------
     # Chains
     # ------------------------------------------------------------------
-    def run_chain(
-        self, models: Iterable[FgBgModel]
-    ) -> list[FgBgSolution | None]:
-        """Solve a sequence of models, returning solutions in input order.
-
-        One :meth:`solve_batch` call.  Failed points (isolated by
-        ``on_error``) are ``None`` slots.
-        """
-        return self.solve_batch(models)
-
     def run_chains(
         self, chains: Sequence[Sequence[FgBgModel]]
     ) -> list[list[FgBgSolution | None]]:
-        """Solve several chains as one :meth:`run_chain` call.
+        """Solve several chains as one :meth:`solve_batch` call.
 
         The chains are flattened, solved, and split back in chain order,
-        so every chain is pooled into one :meth:`solve_batch` (cross-chain
-        duplicates are solved once).
+        so every chain is pooled into one batch (cross-chain duplicates
+        are solved once).
         """
         chains = [list(chain) for chain in chains]
-        solutions = self.run_chain(model for chain in chains for model in chain)
+        solutions = self.solve_batch(model for chain in chains for model in chain)
         results: list[list[FgBgSolution | None]] = []
         cursor = 0
         for chain in chains:

@@ -124,7 +124,7 @@ def sweep(
     metric_fn = resolve_metric(metric)
     if engine is None:
         engine = SweepEngine()
-    solutions = engine.run_chain(axis.models(base_model))
+    solutions = engine.solve_batch(axis.models(base_model))
     return Series(
         label=axis.name if label is None else label,
         x=axis.x(),

@@ -40,6 +40,7 @@ from repro.qbd.rmatrix import (
     BatchedItemFailure,
     BatchedSolveReport,
     QBDConvergenceError,
+    _solve_r_stack,
     batched_r_matrix,
 )
 from repro.qbd.stationary import QBDStationaryDistribution
@@ -94,11 +95,8 @@ def solve_qbd_batched(
     if not isinstance(stack, QBDStack):
         raise TypeError(f"expected a QBDStack, got {type(stack).__name__}")
     n, n_b, m = stack.size, stack.boundary_size, stack.phase_count
-    # QBDStack validated the row split and froze every block, so the
-    # stacked precondition is certified.
-    r, stats_list, report = batched_r_matrix(
-        stack.a0, stack.a1, stack.a2, blocks_validated=True
-    )
+    # QBDStack checked the row split, so the R stage skips the precondition.
+    r, stats_list, report = _solve_r_stack(stack.a0, stack.a1, stack.a2)
     failures: dict[int, BatchedItemFailure] = {
         f.index: f for f in report.failures
     }

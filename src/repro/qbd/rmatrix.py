@@ -7,7 +7,10 @@
 logarithmic reduction on G (Latouche & Ramaswami 1993, quadratically
 convergent), written once over a leading item axis: ``np.linalg.inv`` and
 ``@`` accept ``(N, m, m)`` operands, and an item leaves the active set as
-soon as it converges.  :func:`r_matrix` is its one-item call.
+soon as it converges.  :func:`r_matrix` is its one-item call.  Each
+checks the block precondition once under the contracts; the stacked
+kernel (:mod:`repro.qbd.batched`) skips it, since its
+:class:`~repro.qbd.structure.QBDStack` was checked when built.
 
 Items the reduction cannot finish (overflow, a singular step, no
 convergence, an R with ``sp(R) >= 1``) go through one per-item
@@ -522,6 +525,21 @@ def _as_block_stack(a: ArrayLike, name: str) -> FloatArray:
     return arr
 
 
+def _as_block_stacks(
+    a0: ArrayLike, a1: ArrayLike, a2: ArrayLike
+) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """The three blocks as float ``(N, m, m)`` stacks of one shape."""
+    a0 = _as_block_stack(a0, "A0")
+    a1 = _as_block_stack(a1, "A1")
+    a2 = _as_block_stack(a2, "A2")
+    if not (a0.shape == a1.shape == a2.shape):
+        raise ValueError(
+            f"block stacks must share one shape, got {a0.shape}, "
+            f"{a1.shape}, {a2.shape}"
+        )
+    return a0, a1, a2
+
+
 def _check_block_stack(
     a0: FloatArray, a1: FloatArray, a2: FloatArray, atol: float = 1e-8
 ) -> None:
@@ -767,10 +785,7 @@ def _escalate(
 
 
 def batched_r_matrix(
-    a0: ArrayLike,
-    a1: ArrayLike,
-    a2: ArrayLike,
-    blocks_validated: bool = False,
+    a0: ArrayLike, a1: ArrayLike, a2: ArrayLike
 ) -> tuple[FloatArray, list[SolveStats], BatchedSolveReport]:
     """Minimal R matrices of ``N`` stacked QBD block triples.
 
@@ -786,12 +801,9 @@ def batched_r_matrix(
     ----------
     a0, a1, a2:
         Block stacks of shape ``(N, m, m)``; the iterations converge to
-        :data:`DEFAULT_TOL`.
-    blocks_validated:
-        Caller's certificate that every item already passed the
-        generator/row-split precondition and is frozen read-only (true for
-        blocks taken off :class:`~repro.qbd.structure.QBDProcess`
-        instances).  Never pass True for hand-assembled stacks.
+        :data:`DEFAULT_TOL`.  Under the contracts every item must pass
+        the precondition of :func:`r_matrix` (non-negative ``A0`` and
+        ``A2``, a generator ``A0+A1+A2``).
 
     Returns
     -------
@@ -799,17 +811,20 @@ def batched_r_matrix(
     (read-only), the per-item :class:`SolveStats` and the group-level
     :class:`BatchedSolveReport`.
     """
-    a0 = _as_block_stack(a0, "A0")
-    a1 = _as_block_stack(a1, "A1")
-    a2 = _as_block_stack(a2, "A2")
-    if not (a0.shape == a1.shape == a2.shape):
-        raise ValueError(
-            f"block stacks must share one shape, got {a0.shape}, "
-            f"{a1.shape}, {a2.shape}"
-        )
-    n, m = a0.shape[0], a0.shape[1]
-    if not blocks_validated and contracts_enabled():
+    a0, a1, a2 = _as_block_stacks(a0, a1, a2)
+    if contracts_enabled():
         _check_block_stack(a0, a1, a2)
+    return _solve_r_stack(a0, a1, a2)
+
+
+def _solve_r_stack(
+    a0: FloatArray, a1: FloatArray, a2: FloatArray
+) -> tuple[FloatArray, list[SolveStats], BatchedSolveReport]:
+    """:func:`batched_r_matrix` on float ``(N, m, m)`` stacks of one shape
+    whose precondition already holds: blocks off a
+    :class:`~repro.qbd.structure.QBDStack`, or checked by :func:`r_matrix`.
+    """
+    n, m = a0.shape[0], a0.shape[1]
     start = time.perf_counter()
     g, iterations, failed = _logarithmic_reduction(a0, a1, a2)
     r = np.zeros_like(a0)
@@ -890,29 +905,12 @@ def batched_r_matrix(
     return r, stats_list, report
 
 
-def r_matrix(
-    a0: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    return_stats: bool = False,
-    blocks_validated: bool = False,
-) -> np.ndarray | tuple[np.ndarray, SolveStats]:
+def r_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Minimal non-negative solution of ``A0 + R A1 + R^2 A2 = 0``.
 
     The one-item call of :func:`batched_r_matrix`, after the checks a
     single QBD gets first: the block precondition and the drift test.
-
-    Parameters
-    ----------
-    return_stats:
-        When True, return ``(R, SolveStats)`` instead of just ``R``.
-    blocks_validated:
-        Caller's certificate that ``(a0, a1, a2)`` already passed the
-        generator/split precondition and are frozen read-only -- true for
-        blocks taken off a :class:`~repro.qbd.structure.QBDProcess`,
-        whose constructor validates exactly these invariants.  Skips the
-        redundant re-validation; the R postcondition still runs.  Never
-        pass True for matrices assembled by hand.
+    Its :class:`SolveStats` come with :func:`batched_r_matrix`.
 
     Raises
     ------
@@ -925,7 +923,7 @@ def r_matrix(
     a0 = np.asarray(a0, float)
     a1 = np.asarray(a1, float)
     a2 = np.asarray(a2, float)
-    if not blocks_validated and contracts_enabled():
+    if contracts_enabled():
         # The repeating blocks must form a generator row-split into
         # non-negative up/down parts; a violated precondition here would
         # otherwise converge to plausible-looking garbage.
@@ -933,10 +931,6 @@ def r_matrix(
         check_nonnegative(a2, "A2")
         check_generator(a0 + a1 + a2, "A0+A1+A2")
     validate_positive_recurrent(a0, a1, a2)
-    r, stats, report = batched_r_matrix(
-        a0[None], a1[None], a2[None], blocks_validated=blocks_validated
-    )
+    r, _, report = _solve_r_stack(*_as_block_stacks(a0[None], a1[None], a2[None]))
     raise_first_failure([report])
-    if not return_stats:
-        return r[0]
-    return r[0], stats[0]
+    return r[0]

@@ -2,7 +2,9 @@
 
 :class:`QBDProcess` is one QBD with dense blocks; :class:`QBDStack` is
 ``N`` QBDs of one block structure on a leading item axis, holding only
-what the stacked kernel reads.
+what the stacked kernel reads.  Both constructors test block signs and
+row sums with one stacked check, :class:`QBDProcess` on its one-item
+band, so an item gets the same verdict and message on either path.
 """
 
 from __future__ import annotations
@@ -109,6 +111,60 @@ def _boundary_levels(
     return levels
 
 
+def _check_signs_and_row_sums(
+    layout: _BandLayout,
+    band: np.ndarray,
+    b01: np.ndarray,
+    b10: np.ndarray,
+    a0: np.ndarray,
+    a1: np.ndarray,
+    a2: np.ndarray,
+) -> None:
+    """Sign and row-sum checks of blocks laid out as :class:`QBDStack`
+    holds them, for :class:`QBDStack` and (one item) :class:`QBDProcess`.
+
+    One code path adds every row sum up in one order, so an item gets one
+    verdict either way.  The first failing item raises a ``ValueError``
+    for the first check it fails; a row-sum error names the row with the
+    largest ``|sum|``.
+    """
+    diag = np.arange(a1.shape[1])
+    off_b00 = band < 0
+    off_b00[:, layout.diagonal] = False
+    off_a1 = a1 < 0
+    off_a1[:, diag, diag] = False
+    diagonals = np.concatenate([band[:, layout.diagonal], a1[:, diag, diag]], axis=1)
+    limit = _ATOL * np.maximum(np.abs(diagonals).max(axis=1), 1.0)[:, None]
+    boundary = np.add.reduceat(band, layout.row_starts, axis=1)
+    boundary[:, layout.edges[-2] :] += b01.sum(axis=2)
+    level = a1.sum(axis=2) + a0.sum(axis=2)
+    sums = {
+        "boundary row": boundary,
+        "first repeating-level row": b10.sum(axis=2) + level,
+        "repeating-level row": a2.sum(axis=2) + level,
+    }
+    # Per check, in check order: its message (a row sum's label) and the
+    # entries that fail it.
+    failing = {
+        f"{name} must be entrywise non-negative": block < 0
+        for name, block in (("b01", b01), ("b10", b10), ("a0", a0), ("a2", a2))
+    }
+    failing["off-diagonal entries of b00 must be non-negative"] = off_b00
+    failing["off-diagonal entries of a1 must be non-negative"] = off_a1
+    failing.update((label, np.abs(values) > limit) for label, values in sums.items())
+    n = len(a1)
+    bad = np.stack([entries.reshape(n, -1).any(axis=1) for entries in failing.values()])
+    if not bad.any():
+        return
+    item = int(np.argmax(bad.any(axis=0)))
+    message = list(failing)[int(np.argmax(bad[:, item]))]
+    if message in sums:
+        row_sums = sums[message][item]
+        row = int(np.argmax(np.abs(row_sums)))
+        message = f"{message} {row} sums to {row_sums[row]}, expected 0"
+    raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class QBDProcess:
     """A QBD defined by its repeating blocks and boundary blocks.
@@ -173,30 +229,12 @@ class QBDProcess:
             if block.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {block.shape}")
         levels = _boundary_levels(self.boundary_levels, b00, b01, b10)
-        for name, block in (
-            ("b01", b01),
-            ("b10", b10),
-            ("a0", a0),
-            ("a2", a2),
-        ):
-            if np.any(block < 0):
-                raise ValueError(f"{name} must be entrywise non-negative")
-        for name, block in (("b00", b00), ("a1", a1)):
-            negative = block < 0
-            np.fill_diagonal(negative, False)
-            if np.any(negative):
-                raise ValueError(f"off-diagonal entries of {name} must be non-negative")
-        scale = max(float(np.max(np.abs(np.diag(b00)))), float(np.max(np.abs(np.diag(a1)))), 1.0)
-        a1_sums = a1.sum(axis=1)
-        a0_sums = a0.sum(axis=1)
-        for label, sums in (
-            ("boundary row", b00.sum(axis=1) + b01.sum(axis=1)),
-            ("first repeating-level row", b10.sum(axis=1) + a1_sums + a0_sums),
-            ("repeating-level row", a2.sum(axis=1) + a1_sums + a0_sums),
-        ):
-            if np.any(np.abs(sums) > _ATOL * scale):
-                i = int(np.argmax(np.abs(sums)))
-                raise ValueError(f"{label} {i} sums to {sums[i]}, expected 0")
+        layout = _band_layout(levels)
+        band, last = b00.reshape(1, -1)[:, layout.dense_index], layout.edges[-2]
+        b01_last, b10_last = b01[None, last:], b10[None, :, last:]
+        _check_signs_and_row_sums(
+            layout, band, b01_last, b10_last, a0[None], a1[None], a2[None]
+        )
         _freeze(b00, b01, b10, a0, a1, a2)
         object.__setattr__(self, "b00", b00)
         object.__setattr__(self, "b01", b01)
@@ -289,10 +327,13 @@ class QBDStack:
     boundary_levels:
         Sizes of the boundary's physical levels (see :class:`QBDProcess`).
 
-    The constructor makes the checks of :class:`QBDProcess` over the whole
-    stack at once: shapes, signs and row sums; the band and last-level
-    support hold by layout.  The first bad item raises the error its own
-    :class:`QBDProcess` raises.
+    The constructor checks shapes, then signs and row sums with the
+    function :class:`QBDProcess` runs too, so the first bad item raises
+    the error its own :class:`QBDProcess` raises; the band and last-level
+    support hold by layout.  It takes over the float64 arrays it is given
+    and makes them read-only, copying none: its constructors
+    (:func:`repro.core.blocks.build_qbd`, :meth:`take`, :meth:`of`) pass
+    fresh arrays.
     """
 
     a0: np.ndarray
@@ -308,12 +349,12 @@ class QBDStack:
         if not levels or min(levels) <= 0:
             raise ValueError(f"boundary_levels {levels} must be positive sizes")
         layout = _band_layout(levels)
-        a0 = np.array(self.a0, dtype=float)
-        a1 = np.array(self.a1, dtype=float)
-        a2 = np.array(self.a2, dtype=float)
-        band = np.array(self.band, dtype=float)
-        b01 = np.array(self.b01, dtype=float)
-        b10 = np.array(self.b10, dtype=float)
+        a0 = np.asarray(self.a0, dtype=float)
+        a1 = np.asarray(self.a1, dtype=float)
+        a2 = np.asarray(self.a2, dtype=float)
+        band = np.asarray(self.band, dtype=float)
+        b01 = np.asarray(self.b01, dtype=float)
+        b10 = np.asarray(self.b10, dtype=float)
         if a1.ndim != 3 or a1.shape[1] != a1.shape[2]:
             raise ValueError(f"a1 must be square, got shape {a1.shape[1:]}")
         n, m, s = a1.shape[0], a1.shape[1], levels[-1]
@@ -331,6 +372,7 @@ class QBDStack:
                 raise ValueError(
                     f"{name} must have shape {shape[1:]}, got {block.shape[1:]}"
                 )
+        _check_signs_and_row_sums(layout, band, b01, b10, a0, a1, a2)
         _freeze(a0, a1, a2, band, b01, b10)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
@@ -339,36 +381,6 @@ class QBDStack:
         object.__setattr__(self, "b01", b01)
         object.__setattr__(self, "b10", b10)
         object.__setattr__(self, "boundary_levels", levels)
-        for i in np.flatnonzero(self._failing_items()):
-            self.process(int(i))  # raises this item's QBDProcess error
-
-    def _failing_items(self) -> np.ndarray:
-        """Items failing a sign or row-sum check of :class:`QBDProcess`."""
-        layout = self.layout
-        a0, a1, a2, band = self.a0, self.a1, self.a2, self.band
-        b01, b10 = self.b01, self.b10
-        diag = np.arange(a1.shape[1])
-        bad = np.zeros(a1.shape[0], dtype=bool)
-        for block in (b01, b10, a0, a2):
-            bad |= (block < 0).any(axis=(1, 2))
-        negative = a1 < 0
-        negative[:, diag, diag] = False
-        bad |= negative.any(axis=(1, 2))
-        negative = band < 0
-        negative[:, layout.diagonal] = False
-        bad |= negative.any(axis=1)
-        b00_diag = band[:, layout.diagonal]
-        a1_diag = a1[:, diag, diag]
-        scale = np.maximum(
-            np.maximum(np.abs(b00_diag).max(axis=1), np.abs(a1_diag).max(axis=1)),
-            1.0,
-        )
-        boundary = np.add.reduceat(band, layout.row_starts, axis=1)
-        boundary[:, layout.edges[-2] :] += b01.sum(axis=2)
-        level = a1.sum(axis=2) + a0.sum(axis=2)
-        for sums in (boundary, b10.sum(axis=2) + level, a2.sum(axis=2) + level):
-            bad |= (np.abs(sums) > _ATOL * scale[:, None]).any(axis=1)
-        return bad
 
     @property
     def size(self) -> int:

@@ -6,7 +6,6 @@ import pytest
 from repro.contracts import (
     ContractViolation,
     certify_spectral_radius_below_one,
-    check_drift_stable,
     check_finite,
     check_generator,
     check_nonnegative,
@@ -20,10 +19,6 @@ from repro.contracts import (
     contracts_enabled,
 )
 from repro.contracts.checks import ENV_SWITCH
-
-MM1_A0 = np.array([[0.05]])  # arrivals (up)
-MM1_A1 = np.array([[-(0.05 + 1 / 6.0)]])
-MM1_A2 = np.array([[1 / 6.0]])  # services (down)
 
 
 class TestErrorType:
@@ -190,17 +185,6 @@ class TestSpectralRadiusCertificate:
         monkeypatch.setenv(ENV_SWITCH, "off")
         assert certify_spectral_radius_below_one(np.array([[0.5]]))
         assert not certify_spectral_radius_below_one(np.array([[2.0]]))
-
-
-class TestDriftCheck:
-    def test_stable_mm1_passes(self):
-        check_drift_stable(MM1_A0, MM1_A1, MM1_A2)
-
-    def test_unstable_mm1_fails(self):
-        a0 = np.array([[0.5]])  # lambda > mu
-        a1 = np.array([[-(0.5 + 1 / 6.0)]])
-        with pytest.raises(ContractViolation, match="not positive recurrent"):
-            check_drift_stable(a0, a1, MM1_A2)
 
 
 class TestContractedDecorator:

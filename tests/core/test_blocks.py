@@ -325,6 +325,26 @@ class TestStackedBuild:
             for name, block in expected.items():
                 assert_same_bits(getattr(process, name), block, (i, name))
 
+    def test_stack_takes_over_the_scattered_blocks(self, monkeypatch):
+        # No defensive copy: the stack holds, read-only, the very arrays
+        # the build scatters.
+        import repro.core.blocks as blocks
+
+        scattered = []
+        scatter = blocks._scatter
+
+        def recording(*args):
+            scattered.append(scatter(*args))
+            return scattered[-1]
+
+        monkeypatch.setattr(blocks, "_scatter", recording)
+        stack, _ = build_qbd([WORKLOADS["email"].fit()], [1.0], [0.3], 2, [1.0])
+        held = (stack.a1, stack.a2, stack.band, stack.b01, stack.b10)
+        assert len(scattered) == len(held)
+        for array, block in zip(scattered, held):
+            assert np.shares_memory(array, block)
+            assert not block.flags.writeable
+
 
 def forged_map(d0, d1):
     """A MAP object that skipped the constructor's checks: no certificate."""

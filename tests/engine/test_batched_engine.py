@@ -86,9 +86,9 @@ class TestSolveModelsBatched:
 
 
 class TestBatchedEngine:
-    def test_run_chain_matches_sequential_engine(self):
+    def test_solve_batch_matches_sequential_engine(self):
         models = sweep_models()
-        batched = SweepEngine(BATCHED).run_chain(models)
+        batched = SweepEngine(BATCHED).solve_batch(models)
         for model, b in zip(models, batched):
             reference = functional_iteration_solution(model)
             assert b.fg_response_time == pytest.approx(
@@ -97,7 +97,7 @@ class TestBatchedEngine:
 
     def test_records_batch_groups(self):
         engine = SweepEngine(BATCHED)
-        engine.run_chain(sweep_models(ps=(0.0, 0.3)))
+        engine.solve_batch(sweep_models(ps=(0.0, 0.3)))
         assert len(engine.stats.batch_groups) == 2
         for group in engine.stats.batch_groups:
             assert isinstance(group, BatchedSolveReport)
@@ -115,9 +115,9 @@ class TestBatchedEngine:
     def test_cache_hits_skip_the_kernel(self):
         engine = SweepEngine(BATCHED)
         models = sweep_models()
-        engine.run_chain(models)
+        engine.solve_batch(models)
         groups_after_first = len(engine.stats.batch_groups)
-        engine.run_chain(models)
+        engine.solve_batch(models)
         assert len(engine.stats.batch_groups) == groups_after_first
         assert engine.stats.cache_hits == len(models)
         assert engine.stats.solver_calls == len(models)
@@ -125,7 +125,7 @@ class TestBatchedEngine:
     def test_duplicates_solved_once(self):
         engine = SweepEngine(BATCHED)
         model = mmpp_base()
-        solutions = engine.run_chain([model, model, model])
+        solutions = engine.solve_batch([model, model, model])
         assert engine.stats.solves == 3
         assert engine.stats.solver_calls == 1
         assert engine.stats.batch_groups[0].batch_size == 1
@@ -152,7 +152,7 @@ class TestBatchedEngine:
 
     def test_batch_groups_survive_summary(self):
         engine = SweepEngine(BATCHED)
-        engine.run_chain(sweep_models(utils=(0.2, 0.4)))
+        engine.solve_batch(sweep_models(utils=(0.2, 0.4)))
         summary = engine.stats.summary()
         assert "batch_groups" in summary
         assert summary["batch_groups"][0]["batch_size"] == 4
@@ -169,9 +169,9 @@ class TestBatchedEngine:
         cache_dir = str(tmp_path / "solves")
         cache_engine = SweepEngine(EngineConfig(cache_dir=cache_dir, batched=True))
         models = sweep_models(utils=(0.2, 0.3))
-        batched = cache_engine.run_chain(models)
+        batched = cache_engine.solve_batch(models)
         follower = SweepEngine(EngineConfig(cache_dir=cache_dir))
-        sequential = follower.run_chain(models)
+        sequential = follower.solve_batch(models)
         assert follower.stats.cache_hits == len(models)
         for s, b in zip(sequential, batched):
             assert s.fg_response_time == b.fg_response_time

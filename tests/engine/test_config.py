@@ -89,8 +89,8 @@ class TestEquivalence:
         chain = models()
         via_init = SweepEngine(EngineConfig())
         via_build = EngineConfig().build_engine()
-        a = via_init.run_chain(chain)
-        b = via_build.run_chain(chain)
+        a = via_init.solve_batch(chain)
+        b = via_build.solve_batch(chain)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(
                 [x.fg_queue_length, x.bg_queue_length],
@@ -112,14 +112,14 @@ class TestHooks:
     def test_progress_ticks_once_per_point(self):
         ticks = []
         engine = SweepEngine(progress=ticks.append)
-        engine.run_chain(models(3))
+        engine.solve_batch(models(3))
         assert sum(ticks) == 3
 
     def test_progress_counts_cache_hits(self):
         ticks = []
         engine = SweepEngine(progress=ticks.append)
-        engine.run_chain(models(3))
-        engine.run_chain(models(3))
+        engine.solve_batch(models(3))
+        engine.solve_batch(models(3))
         assert sum(ticks) == 6
         assert engine.stats.cache_hits == 3
 
@@ -133,13 +133,13 @@ class TestHooks:
     def test_progress_ticks_when_batched(self):
         ticks = []
         engine = SweepEngine(EngineConfig(batched=True), progress=ticks.append)
-        engine.run_chain(models(3))
+        engine.solve_batch(models(3))
         assert sum(ticks) == 3
 
     def test_cancel_checked_before_first_solve(self):
         engine = SweepEngine(cancel=lambda: True)
         with pytest.raises(SweepCancelled):
-            engine.run_chain(models(2))
+            engine.solve_batch(models(2))
         assert engine.stats.solves == 0
 
     def test_cancel_mid_chain_stops_promptly(self):
@@ -153,15 +153,15 @@ class TestHooks:
         engine = SweepEngine(progress=done.append, cancel=cancel_after_one)
         chain = models(4)
         with pytest.raises(SweepCancelled):
-            engine.run_chain(chain[:2])
-            engine.run_chain(chain[2:])
+            engine.solve_batch(chain[:2])
+            engine.solve_batch(chain[2:])
         assert sum(done) < 4
 
     def test_cancel_never_becomes_a_nan_point(self):
         """SweepCancelled must not be swallowed by on_error isolation."""
         engine = SweepEngine(EngineConfig(on_error="collect"), cancel=lambda: True)
         with pytest.raises(SweepCancelled):
-            engine.run_chain(models(2))
+            engine.solve_batch(models(2))
         assert engine.stats.failures == []
 
     def test_no_hooks_by_default(self):
@@ -173,6 +173,6 @@ class TestHooks:
 class TestStatsSummaryKeys:
     def test_recovered_work_counters_always_present(self):
         engine = SweepEngine()
-        engine.run_chain(models(1))
+        engine.solve_batch(models(1))
         summary = engine.stats.summary()
         assert summary["cache_quarantined"] == 0

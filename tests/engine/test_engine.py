@@ -63,14 +63,14 @@ class TestSolve:
 class TestRunChain:
     def test_matches_individual_solves(self):
         engine = SweepEngine()
-        solutions = engine.run_chain(chain())
+        solutions = engine.solve_batch(chain())
         for model, solution in zip(chain(), solutions):
             assert solution.fg_queue_length == model.solve().fg_queue_length
 
     def test_cached_rerun_solves_nothing(self):
         engine = SweepEngine()
-        engine.run_chain(chain())
-        engine.run_chain(chain())
+        engine.solve_batch(chain())
+        engine.solve_batch(chain())
         assert engine.stats.solver_calls == len(UTILIZATIONS)
         assert engine.stats.cache_hits == len(UTILIZATIONS)
 
@@ -91,7 +91,7 @@ class TestRunChains:
     @pytest.mark.parametrize("batched", [False, True])
     def test_chains_identical_to_one_flat_chain(self, batched):
         split = SweepEngine(EngineConfig(batched=batched)).run_chains(self.chains())
-        flat = SweepEngine(EngineConfig(batched=batched)).run_chain(
+        flat = SweepEngine(EngineConfig(batched=batched)).solve_batch(
             [model for models in self.chains() for model in models]
         )
         assert [len(c) for c in split] == [len(UTILIZATIONS)] * 3
@@ -127,7 +127,7 @@ class TestRunChains:
             arrival=PoissonProcess(0.3 * MU), service_rate=MU, bg_probability=0.3
         )
         models = [base.at_utilization(u) for u in UTILIZATIONS]
-        solved = SweepEngine().run_chain(models)
+        solved = SweepEngine().solve_batch(models)
         for model, solution in zip(models, solved):
             assert solution.fg_queue_length == pytest.approx(
                 model.solve().fg_queue_length, abs=1e-8

@@ -118,7 +118,7 @@ class TestEngineIsolation:
         engine = SweepEngine()
         with faults.inject("singular_boundary:limit=1"):
             with pytest.raises(np.linalg.LinAlgError):
-                engine.run_chain(model_chain)
+                engine.solve_batch(model_chain)
 
     def test_skip_mode_marks_nan_and_keeps_healthy_points(self, base_model):
         axis = utilization_axis(UTILIZATIONS)
@@ -140,7 +140,7 @@ class TestEngineIsolation:
     def test_collect_mode_records_structured_failure(self, model_chain):
         engine = SweepEngine(EngineConfig(on_error="collect"))
         with faults.inject("singular_boundary:after=1:limit=1"):
-            solutions = engine.run_chain(model_chain)
+            solutions = engine.solve_batch(model_chain)
         assert solutions[1] is None
         assert all(s is not None for i, s in enumerate(solutions) if i != 1)
         (failure,) = engine.stats.failures
@@ -152,7 +152,7 @@ class TestEngineIsolation:
     def test_collect_mode_emits_no_warnings(self, model_chain, recwarn):
         engine = SweepEngine(EngineConfig(on_error="collect"))
         with faults.inject("singular_boundary:after=1:limit=1"):
-            engine.run_chain(model_chain)
+            engine.solve_batch(model_chain)
         assert not [
             w for w in recwarn.list if issubclass(w.category, ResilienceWarning)
         ]
@@ -161,7 +161,7 @@ class TestEngineIsolation:
         reference = [m.solve().fg_response_time for m in model_chain]
         engine = SweepEngine(EngineConfig(on_error="collect", escalate=True))
         with faults.inject("singular_boundary:after=1:limit=1"):
-            solutions = engine.run_chain(model_chain)
+            solutions = engine.solve_batch(model_chain)
         assert all(s is not None for s in solutions)
         assert engine.stats.failures == []
         assert engine.stats.degraded_solves == 1

@@ -70,10 +70,9 @@ class TestBatchedRMatrix:
             np.stack([q.a0 for q in qbds]),
             np.stack([q.a1 for q in qbds]),
             np.stack([q.a2 for q in qbds]),
-            blocks_validated=True,
         )
         for i, qbd in enumerate(qbds):
-            scalar = r_matrix(qbd.a0, qbd.a1, qbd.a2, blocks_validated=True)
+            scalar = r_matrix(qbd.a0, qbd.a1, qbd.a2)
             np.testing.assert_array_equal(stacked[i], scalar)
             reference = r_matrix_functional_iteration(qbd.a0, qbd.a1, qbd.a2)
             np.testing.assert_allclose(stacked[i], reference, rtol=0, atol=1e-10)
@@ -113,7 +112,6 @@ class TestBatchedRMatrix:
             np.stack([q.a0 for q in qbds]),
             np.stack([q.a1 for q in qbds]),
             np.stack([q.a2 for q in qbds]),
-            blocks_validated=True,
         )
         assert isinstance(report, BatchedSolveReport)
         assert report.batch_size == 3

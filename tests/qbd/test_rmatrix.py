@@ -5,6 +5,7 @@ import pytest
 
 from repro.qbd import (
     SolveStats,
+    batched_r_matrix,
     drift,
     g_matrix_logarithmic_reduction,
     is_stable,
@@ -17,6 +18,12 @@ from repro.qbd.rmatrix import _closed_classes
 
 LAM, MU = 1.0, 2.0
 MM1 = (np.array([[LAM]]), np.array([[-(LAM + MU)]]), np.array([[MU]]))
+
+
+def solve_one(a0, a1, a2):
+    """R and its SolveStats from a one-item batched_r_matrix."""
+    r, stats, _ = batched_r_matrix(a0[None], a1[None], a2[None])
+    return r[0], stats[0]
 
 
 def mmpp_m1_blocks(util: float = 0.7, mu: float = 1.0):
@@ -179,7 +186,7 @@ class TestGMatrix:
         g = g_matrix_logarithmic_reduction(a0, a1, a2)
         assert np.abs(1.0 - g.sum(axis=1)).max() < 1e-12
         np.testing.assert_allclose(a2 + a1 @ g + a0 @ g @ g, 0.0, atol=1e-12)
-        r, stats = r_matrix(a0, a1, a2, return_stats=True)
+        r, stats = solve_one(a0, a1, a2)
         assert stats.fallbacks == ()
         assert 1.0 - stats.spectral_radius < 1e-5
         np.testing.assert_allclose(r @ a2.sum(axis=1), a0.sum(axis=1), atol=1e-12)
@@ -188,7 +195,7 @@ class TestGMatrix:
 class TestSolveStats:
     def test_return_stats(self):
         a0, a1, a2 = mmpp_m1_blocks()
-        r, stats = r_matrix(a0, a1, a2, return_stats=True)
+        r, stats = solve_one(a0, a1, a2)
         assert isinstance(stats, SolveStats)
         assert stats.algorithm == "logarithmic-reduction"
         assert stats.iterations > 0
@@ -200,7 +207,7 @@ class TestSolveStats:
         import json
 
         a0, a1, a2 = mmpp_m1_blocks()
-        _, stats = r_matrix(a0, a1, a2, return_stats=True)
+        _, stats = solve_one(a0, a1, a2)
         payload = stats.as_dict()
         assert json.loads(json.dumps(payload)) == payload
 

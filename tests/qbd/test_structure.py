@@ -124,6 +124,68 @@ class TestBoundaryLevels:
         del blocks["boundary_levels"]
         assert QBDProcess(**blocks).boundary_levels == (9,)
 
+    def test_copies_the_callers_blocks(self):
+        blocks = two_level_blocks()
+        qbd = QBDProcess(**blocks)
+        for name in ("b00", "b01", "b10", "a0", "a1", "a2"):
+            assert blocks[name].flags.writeable
+            assert not np.shares_memory(blocks[name], getattr(qbd, name))
+            assert not getattr(qbd, name).flags.writeable
+
+
+def verdict(make) -> str | None:
+    """The ``ValueError`` message ``make()`` raises, or None if it passes."""
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestRowSumEdge:
+    """At the row-sum tolerance a stack and its item's dense QBD agree."""
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_stack_and_process_agree(self, k):
+        # The E-mail chain at load 0.5 (X=5, p=0.3, mu = alpha), with
+        # boundary row 2 summing to the tolerance plus k ulps: a sum
+        # taken in a different order than the stack's lands on the other
+        # side of the limit.
+        from repro.core.blocks import build_qbd
+        from repro.qbd import QBDStack
+        from repro.workloads.paper import SERVICE_RATE_PER_MS, WORKLOADS
+
+        mu = SERVICE_RATE_PER_MS
+        arrival = WORKLOADS["email"].fit().scaled_to_utilization(0.5, mu)
+        stack, _ = build_qbd([arrival], [mu], [0.3], 5, [mu])
+        qbd = stack.process(0)
+        dense = {
+            name: np.array(getattr(qbd, name))
+            for name in ("b00", "b01", "b10", "a0", "a1", "a2")
+        }
+        diagonal = np.concatenate([np.diag(qbd.b00), np.diag(qbd.a1)])
+        limit = 1e-8 * max(np.abs(diagonal).max(), 1.0)
+        row = 2
+        b00 = dense["b00"]
+        others = b00[row].sum() - b00[row, row] + dense["b01"][row].sum()
+        b00[row, row] = limit + k * np.spacing(limit) - others
+        layout = stack.layout
+        band = np.array(stack.band)
+        band[0, layout.diagonal[row]] = b00[row, row]
+        fields = {
+            name: np.array(getattr(stack, name))
+            for name in ("a0", "a1", "a2", "b01", "b10")
+        }
+        stacked = verdict(
+            lambda: QBDStack(
+                **fields, band=band, boundary_levels=stack.boundary_levels
+            )
+        )
+        one = verdict(
+            lambda: QBDProcess(**dense, boundary_levels=stack.boundary_levels)
+        )
+        assert stacked == one
+
 
 class TestTruncatedGenerator:
     def test_truncation_is_valid_generator(self):

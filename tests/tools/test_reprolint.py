@@ -45,7 +45,7 @@ def codes(violations):
         ("rl003", ["RL003", "RL003", "RL003"]),
         ("rl004", ["RL004", "RL004"]),
         ("rl005", ["RL005", "RL005"]),
-        ("rl006", ["RL006", "RL006", "RL006"]),
+        ("rl006", ["RL006", "RL006"]),
         ("rl012", ["RL012", "RL012", "RL012"]),
         ("rl013", ["RL013", "RL013", "RL013"]),
         ("rl014", ["RL014", "RL014", "RL014"]),

@@ -31,8 +31,6 @@ The analysis reports *events* consumed by the rules:
 * certificate assignments (``self._generator_validated = True`` directly
   or via ``object.__setattr__``), with the function's exit-state used to
   decide whether every array stored on ``self`` ends up frozen;
-* calls passing ``blocks_validated=True``, with the fact-state snapshot
-  at the call;
 * every call with the unit evidence of each argument, for the
   cross-module unit-flow rule.
 """

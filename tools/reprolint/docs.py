@@ -79,9 +79,8 @@ RULE_DOCS: dict[str, RuleDoc] = {
     ),
     "RL006": RuleDoc(
         rationale=(
-            "Construction certificates (_generator_validated, "
-            "blocks_validated=True) let the contract "
-            "layer skip re-validation -- which is only sound when the "
+            "Construction certificates (_generator_validated) let the "
+            "contract layer skip re-validation -- which is only sound when the "
             "certified arrays were frozen on every path reaching the "
             "certificate."
         ),

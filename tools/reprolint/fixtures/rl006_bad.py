@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.contracts import check_generator
-from repro.qbd.rmatrix import r_matrix
 
 
 @dataclass(frozen=True)
@@ -21,14 +20,6 @@ class BadCertifiedProcess:
         object.__setattr__(self, "d0", d0)
         # RL006: d0 was validated but never frozen before certifying.
         object.__setattr__(self, "_generator_validated", True)
-
-
-def hand_assembled_solve():
-    a0 = np.zeros((2, 2))
-    a1 = np.diag([-1.0, -1.0])
-    a2 = np.eye(2)
-    # RL006: hand-assembled writable blocks under blocks_validated=True.
-    return r_matrix(a0, a1, a2, blocks_validated=True)
 
 
 def _freeze_if(array, flag):

@@ -48,13 +48,3 @@ class HelperFrozenProcess:
         _freeze(d0)
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "_generator_validated", True)
-
-
-def frozen_blocks_solve():
-    a0 = np.zeros((2, 2))
-    a1 = np.diag([-1.0, -1.0])
-    a2 = np.eye(2)
-    a0.setflags(write=False)
-    a1.setflags(write=False)
-    a2.setflags(write=False)
-    return r_matrix(a0, a1, a2, blocks_validated=True)

@@ -33,9 +33,8 @@ RL005
     ``repro.qbd.rmatrix.drift`` instead.
 RL006
     Certificate soundness.  A construction certificate
-    (``self._generator_validated = True``, or a call passing
-    ``blocks_validated=True``) claims the certified arrays are validated
-    *and frozen*; issuing one where the arrays are not provably
+    (``self._generator_validated = True``) claims the certified arrays
+    are validated *and frozen*; issuing one where the arrays are not provably
     read-only on all paths (``setflags(write=False)``) makes the
     contract layer skip re-validation of data that can still mutate --
     the exact bug class CLAUDE.md warns silently corrupts every solve.
@@ -601,9 +600,6 @@ def _function_nodes(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFuncti
             yield node
 
 
-_CERTIFIED_BLOCK_KWARGS = ("a0", "a1", "a2")
-
-
 def rl006_certificate_soundness(tree: ast.AST, path: str) -> Iterator[Violation]:
     """RL006: certificates issued over arrays that may still be writable.
 
@@ -634,51 +630,6 @@ def rl006_certificate_soundness(tree: ast.AST, path: str) -> Iterator[Violation]
                     "writable certified array silently invalidates every "
                     "downstream solve",
                 )
-
-        for call in analysis.calls:
-            flag = self_kw_value(call.node, "blocks_validated")
-            if not (isinstance(flag, ast.Constant) and flag.value is True):
-                continue
-            suspect: list[str] = []
-            for facts, name in zip(call.pos_facts, call.pos_names):
-                if (
-                    facts is not None
-                    and name is not None
-                    and dataflow.ARRAY in facts
-                    and dataflow.READONLY not in facts
-                ):
-                    suspect.append(name)
-            for kw, facts in call.kw_facts.items():
-                if kw not in _CERTIFIED_BLOCK_KWARGS:
-                    continue
-                name = call.kw_names.get(kw)
-                if (
-                    facts is not None
-                    and name is not None
-                    and dataflow.ARRAY in facts
-                    and dataflow.READONLY not in facts
-                ):
-                    suspect.append(name)
-            if suspect:
-                names = ", ".join(sorted(set(suspect)))
-                yield Violation(
-                    path,
-                    call.node.lineno,
-                    call.node.col_offset,
-                    "RL006",
-                    f"blocks_validated=True passed for hand-assembled, "
-                    f"still-writable arrays ({names}); the certificate is "
-                    "only sound for validated read-only blocks (e.g. off a "
-                    "QBDProcess) -- freeze with .setflags(write=False) and "
-                    "validate, or drop the certificate",
-                )
-
-
-def self_kw_value(call: ast.Call, name: str) -> ast.expr | None:
-    for keyword in call.keywords:
-        if keyword.arg == name:
-            return keyword.value
-    return None
 
 
 # ---------------------------------------------------------------------------
